@@ -18,12 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import DimensionMismatchError
 from .exactgeom import (
     RationalPolytope,
     Vector,
+    _scaled,
     affine_dim,
     contains_point,
     extreme_points,
@@ -70,24 +72,13 @@ class InteriorReport:
 
 
 def _primitive_direction(v: Vector) -> Vector:
-    scale = 1
-    for c in v:
-        scale = scale * c.denominator // _gcd(scale, c.denominator)
-    ints = [int(c * scale) for c in v]
-    g = 0
-    for value in ints:
-        g = _gcd(g, abs(value))
+    ints, _ = _scaled(v)
+    g = gcd(*ints)
     ints = [value // g for value in ints]
     lead = next(value for value in ints if value)
     if lead < 0:
         ints = [-value for value in ints]
     return tuple(Fraction(value) for value in ints)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def classify_chain(chain_set: RationalPolytope) -> ChainClassification:

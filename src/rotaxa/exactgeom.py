@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError
@@ -111,16 +112,8 @@ def _check_uniform(points: Sequence[Vector]) -> int:
 
 def _scaled(p: Vector) -> tuple[tuple[int, ...], int]:
     """Integer numerators and a common positive denominator for ``p``."""
-    den = 1
-    for c in p:
-        den = den * c.denominator // _gcd(den, c.denominator)
-    return tuple(int(c * den) for c in p), den
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+    den = lcm(*(c.denominator for c in p))
+    return tuple(c.numerator * (den // c.denominator) for c in p), den
 
 
 def _functional_values(c_nums, points_scaled):

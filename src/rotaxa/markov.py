@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InadmissibleWordError, ResourceCapError
@@ -219,7 +220,8 @@ def simple_cycles(
 
     Each cycle appears once, rooted at its smallest node.  Raises
     :class:`ResourceCapError` when more than ``cap`` cycles exist; the
-    enumeration is never silently truncated.
+    enumeration is never silently truncated.  The search keeps an explicit
+    stack, so a long cycle needs no deep recursion.
     """
     order = {name: i for i, name in enumerate(sorted(graph.node_ids))}
     succ = graph.successors()
@@ -227,23 +229,16 @@ def simple_cycles(
 
     for start in sorted(graph.node_ids):
         floor = order[start]
-        blocked: set[str] = set()
+        blocked = {start}
         blocked_map: dict[str, set[str]] = {}
-        path: list[str] = []
-
-        def unblock(node: str) -> None:
-            stack = [node]
-            while stack:
-                u = stack.pop()
-                if u in blocked:
-                    blocked.discard(u)
-                    stack.extend(blocked_map.pop(u, ()))
-
-        def circuit(v: str) -> bool:
-            found = False
-            path.append(v)
-            blocked.add(v)
-            for w in succ[v]:
+        path = [start]
+        # One frame per node on the path: [node, successor iterator,
+        # whether a cycle through the node's subtree was found].
+        stack = [[start, iter(succ[start]), False]]
+        while stack:
+            frame = stack[-1]
+            v, successors, _ = frame
+            for w in successors:
                 if order[w] < floor:
                     continue
                 if w == start:
@@ -252,21 +247,33 @@ def simple_cycles(
                         raise ResourceCapError(
                             f"more than {cap} simple cycles; raise the cap"
                         )
-                    found = True
+                    frame[2] = True
                 elif w not in blocked:
-                    if circuit(w):
-                        found = True
-            if found:
-                unblock(v)
+                    path.append(w)
+                    blocked.add(w)
+                    stack.append([w, iter(succ[w]), False])
+                    break
             else:
-                for w in succ[v]:
-                    if order[w] >= floor:
-                        blocked_map.setdefault(w, set()).add(v)
-            path.pop()
-            return found
-
-        circuit(start)
+                stack.pop()
+                path.pop()
+                if frame[2]:
+                    _unblock(v, blocked, blocked_map)
+                    if stack:
+                        stack[-1][2] = True
+                else:
+                    for w in succ[v]:
+                        if order[w] >= floor:
+                            blocked_map.setdefault(w, set()).add(v)
     return cycles
+
+
+def _unblock(node: str, blocked: set[str], blocked_map: dict[str, set[str]]) -> None:
+    stack = [node]
+    while stack:
+        u = stack.pop()
+        if u in blocked:
+            blocked.discard(u)
+            stack.extend(blocked_map.pop(u, ()))
 
 
 def piece_rotation_set(
@@ -274,14 +281,25 @@ def piece_rotation_set(
 ) -> RationalPolytope:
     """Rotation polytope of the piece: hull of simple-cycle mean displacements."""
     displacements = piece.graph.displacements()
-    dim = len(next(iter(displacements.values())))
-    means: set[Vector] = set()
-    for cycle in simple_cycles(piece.graph, cap=cycle_cap):
-        total = zero_vector(dim)
-        for node in cycle:
-            total = vector_add(total, displacements[node])
-        period = Fraction(1, len(cycle))
-        means.add(tuple(c * period for c in total))
+    # Sum cycles as integer vectors over the displacements' common
+    # denominator.  Equal means share one gcd-reduced (total, length) key,
+    # so only one Fraction vector is built per distinct mean.
+    den = lcm(*{c.denominator for disp in displacements.values() for c in disp})
+    ints = {
+        name: tuple(c.numerator * (den // c.denominator) for c in disp)
+        for name, disp in displacements.items()
+    }
+    sums = {
+        (tuple(map(sum, zip(*map(ints.__getitem__, cycle)))), len(cycle))
+        for cycle in simple_cycles(piece.graph, cap=cycle_cap)
+    }
+    keys = set()
+    for total, length in sums:
+        g = gcd(length, *total)
+        keys.add((tuple(t // g for t in total), length // g))
+    means = [
+        tuple(Fraction(t, length * den) for t in total) for total, length in keys
+    ]
     return extreme_points(means)
 
 

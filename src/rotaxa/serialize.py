@@ -43,7 +43,7 @@ def _vector_from_json(data: Any, location: str, errors: list[str]) -> Vector:
             return ()
         try:
             out.append(parse_rational(item))
-        except (ValueError, TypeError):
+        except (ValueError, TypeError, ZeroDivisionError):
             errors.append(f"{location}/{i}: unreadable rational {item!r}")
             return ()
     return tuple(out)

@@ -1,8 +1,8 @@
-"""Exact rational linear programming.
+"""Exact linear programming on an integer-preserving tableau.
 
-A small dense two-phase primal simplex over ``fractions.Fraction``.  There is
-no floating point anywhere in this module: every pivot is exact, so feasibility
-and optimality answers are decisions, not approximations.
+A small dense two-phase primal simplex with no floating point anywhere: every
+pivot is exact, so feasibility and optimality answers are decisions, not
+approximations.
 
 Problems are stated in equality standard form::
 
@@ -15,6 +15,24 @@ unconditionally.  Problem sizes here are tiny (rows = ambient dimension plus
 one or two, columns = a few hundred at most), so a dense tableau is the right
 tool.
 
+The tableau holds Python integers only (Edmonds 1967; Bareiss 1968).  The
+rows and the right-hand side are first multiplied by one common ``L``, the
+lcm of all their denominators.  The rational tableau is then kept as an
+integer matrix ``M`` over one positive common denominator ``D``, starting
+from ``D = 1``.  A pivot on the entry ``p = M[r][c] > 0`` keeps row ``r``
+and replaces every other row by ``(p * M[i] - M[i][c] * M[r]) // D``, with
+``p`` as the new ``D``.  Every entry of ``M`` is then a minor of the scaled
+input, and Sylvester's identity makes the division exact.
+
+The scaling does not change the pivot sequence.  Multiplying all rows by the
+same ``L > 0`` scales each basic row by a positive factor, and the phase 1
+reduced costs by ``L``.  So every reduced-cost sign, every ratio of the
+ratio test and every tie is the one the rational tableau would see, and
+Bland's rule picks the same pivots.  Once phase 1 has moved every basic
+variable onto a structural column, the structural part of the tableau
+equals the unscaled one, so solutions and optimal values are the same
+rationals as well.
+
 When a problem is infeasible we also report a Farkas certificate: a vector
 ``y`` with ``y . A_j <= 0`` for every column ``j`` and ``y . b > 0``.  The
 geometry layer turns that certificate into a separating functional, which is
@@ -25,14 +43,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -50,6 +66,11 @@ class LpResult:
     certificate: tuple[Fraction, ...] | None = None
 
 
+def _integers(values, scale: int) -> list[int]:
+    """``values`` times ``scale``; every denominator must divide ``scale``."""
+    return [a.numerator * (scale // a.denominator) for a in values]
+
+
 def solve_lp(
     costs: Sequence[Fraction],
     rows: Sequence[Sequence[Fraction]],
@@ -65,67 +86,76 @@ def solve_lp(
     # with the right-hand side appended as the final entry of each row.
     # Rows are sign-normalized so every rhs is nonnegative; the flips are
     # remembered to unscramble the dual certificate later.
+    scale = lcm(
+        *{a.denominator for row in rows for a in row},
+        *{beta.denominator for beta in rhs},
+    )
     flips = []
     tableau = []
-    for row, beta in zip(rows, rhs):
+    for i, (row, beta) in enumerate(zip(rows, _integers(rhs, scale))):
+        entries = _integers(row, scale) + [0] * m + [beta]
         if beta < 0:
             flips.append(-1)
-            tableau.append([-a for a in row] + [_ZERO] * m + [-beta])
+            entries = [-a for a in entries]
         else:
             flips.append(1)
-            tableau.append([Fraction(a) for a in row] + [_ZERO] * m + [Fraction(beta)])
-    for i in range(m):
-        tableau[i][n + i] = _ONE
+        entries[n + i] = 1
+        tableau.append(entries)
     basis = [n + i for i in range(m)]
-    width = n + m + 1
+    den = 1
 
     # Phase 1: minimize the sum of artificials.  The objective row holds
     # reduced costs, with the negated objective value in the rhs slot.
-    obj = [_ZERO] * width
-    for j in range(width):
-        obj[j] = -sum(tableau[i][j] for i in range(m))
-    for i in range(m):
-        obj[n + i] = _ZERO
+    obj = [0] * (n + m + 1)
+    for entries in tableau:
+        obj = [o - a for o, a in zip(obj, entries)]
+    obj[n : n + m] = [0] * m
 
-    status = _iterate(tableau, obj, basis, n, width)
+    status, den = _iterate(tableau, obj, basis, n, den)
     if status == UNBOUNDED:  # pragma: no cover - phase 1 is always bounded
         raise AssertionError("phase 1 cannot be unbounded")
-    infeasibility = -obj[width - 1]
-    if infeasibility > 0:
+    if obj[-1] < 0:
         # Duals from the artificial reduced costs: cbar_{a_i} = 1 - y_i.
-        y = tuple(flips[i] * (_ONE - obj[n + i]) for i in range(m))
+        # The artificial columns start as the identity, unscaled, so the
+        # scaling leaves these reduced costs as the rational tableau has them.
+        y = tuple(flips[i] * Fraction(den - obj[n + i], den) for i in range(m))
         return LpResult(status=INFEASIBLE, certificate=y)
 
-    _expel_artificials(tableau, basis, n, width)
-    m = len(tableau)
+    den = _expel_artificials(tableau, basis, n, den)
+    # No artificial column can enter again, so phase 2 drops them.
+    for entries in tableau:
+        del entries[n:-1]
 
-    # Phase 2 objective row, rebuilt from the true costs.
-    obj = [_ZERO] * width
-    for j in range(width):
-        obj[j] = -sum(
-            costs[basis[i]] * tableau[i][j] for i in range(m) if basis[i] < n
-        )
-    for j in range(n):
-        obj[j] += costs[j]
-    status = _iterate(tableau, obj, basis, n, width)
+    # Phase 2 objective row, rebuilt from the true costs scaled to integers.
+    cost_scale = lcm(*{c.denominator for c in costs})
+    cost_ints = _integers(costs, cost_scale)
+    obj = [c * den for c in cost_ints]
+    obj.append(0)
+    for var, entries in zip(basis, tableau):
+        c = cost_ints[var]
+        if c:
+            obj = [o - c * a for o, a in zip(obj, entries)]
+    status, den = _iterate(tableau, obj, basis, n, den)
     if status == UNBOUNDED:
         return LpResult(status=UNBOUNDED)
 
-    solution = [_ZERO] * n
-    for i in range(m):
-        if basis[i] < n:
-            solution[basis[i]] = tableau[i][width - 1]
-    value = sum((c * x for c, x in zip(costs, solution)), _ZERO)
+    solution = [Fraction(0)] * n
+    for var, entries in zip(basis, tableau):
+        solution[var] = Fraction(entries[-1], den)
+    value = Fraction(
+        sum(cost_ints[var] * entries[-1] for var, entries in zip(basis, tableau)),
+        den * cost_scale,
+    )
     return LpResult(status=OPTIMAL, value=value, solution=tuple(solution))
 
 
-def _iterate(tableau, obj, basis, allowed, width) -> str:
+def _iterate(tableau, obj, basis, allowed, den) -> tuple[str, int]:
     """Run simplex pivots until optimal or unbounded.
 
     Only the first ``allowed`` columns may enter the basis; artificial
-    columns are thereby frozen out during phase 2.
+    columns are thereby frozen out.  Returns the status and the common
+    denominator after the last pivot.
     """
-    m = len(tableau)
     while True:
         enter = -1
         for j in range(allowed):
@@ -133,73 +163,77 @@ def _iterate(tableau, obj, basis, allowed, width) -> str:
                 enter = j
                 break
         if enter < 0:
-            return OPTIMAL
+            return OPTIMAL, den
+        # Ratio test by cross-multiplication: rhs_i / coeff_i with
+        # coeff_i > 0, all over the same denominator.
         leave = -1
-        best = None
-        for i in range(m):
-            coeff = tableau[i][enter]
+        best_rhs = best_coeff = 0
+        for i, entries in enumerate(tableau):
+            coeff = entries[enter]
             if coeff > 0:
-                ratio = tableau[i][width - 1] / coeff
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
+                lhs = entries[-1] * best_coeff
+                rhs = best_rhs * coeff
+                if leave < 0 or lhs < rhs or (
+                    lhs == rhs and basis[i] < basis[leave]
                 ):
-                    best = ratio
+                    best_rhs, best_coeff = entries[-1], coeff
                     leave = i
         if leave < 0:
-            return UNBOUNDED
-        _pivot(tableau, obj, basis, leave, enter, width)
+            return UNBOUNDED, den
+        den = _pivot(tableau, obj, basis, leave, enter, den)
 
 
-def _pivot(tableau, obj, basis, row, col, width) -> None:
-    pivot_row = tableau[row]
-    inv = _ONE / pivot_row[col]
-    if inv != 1:
-        for j in range(width):
-            if pivot_row[j]:
-                pivot_row[j] *= inv
-    for other in tableau:
+def _pivot(tableau, obj, basis, row, col, den) -> int:
+    """One Bland pivot on a positive entry; returns the new denominator."""
+    new_den = _eliminate((*tableau, obj), tableau[row], col, den)
+    basis[row] = col
+    return new_den
+
+
+def _eliminate(rows, pivot_row, col, den) -> int:
+    """Fraction-free elimination of column ``col`` from every other row.
+
+    Each row ``R`` becomes ``(p * R - R[col] * pivot_row) // den`` for the
+    pivot ``p``, which is the new common denominator.  The division is exact
+    by Sylvester's identity; ``den`` may be negative.
+    """
+    p = pivot_row[col]
+    for other in rows:
         if other is pivot_row:
             continue
         factor = other[col]
         if factor:
-            for j in range(width):
-                if pivot_row[j]:
-                    other[j] -= factor * pivot_row[j]
-    factor = obj[col]
-    if factor:
-        for j in range(width):
-            if pivot_row[j]:
-                obj[j] -= factor * pivot_row[j]
-    basis[row] = col
+            other[:] = [(p * a - factor * b) // den for a, b in zip(other, pivot_row)]
+        elif p != den:
+            other[:] = [p * a // den for a in other]
+    return p
 
 
-def _expel_artificials(tableau, basis, n, width) -> None:
-    """Pivot zero-level artificials out of the basis; drop redundant rows."""
+def _expel_artificials(tableau, basis, n, den) -> int:
+    """Pivot zero-level artificials out of the basis; drop redundant rows.
+
+    Returns the common denominator after the last pivot.
+    """
     i = 0
     while i < len(tableau):
         if basis[i] < n:
             i += 1
             continue
-        col = next((j for j in range(n) if tableau[i][j] != 0), None)
+        entries = tableau[i]
+        col = next((j for j in range(n) if entries[j]), None)
         if col is None:
             # The row is zero on all structural columns: a redundant
             # constraint revealed by phase 1.
             del tableau[i]
             del basis[i]
             continue
-        # Degenerate pivot (rhs is zero), sign of the pivot is irrelevant.
-        pivot_row = tableau[i]
-        inv = _ONE / pivot_row[col]
-        for j in range(width):
-            if pivot_row[j]:
-                pivot_row[j] *= inv
-        for other in tableau:
-            if other is pivot_row:
-                continue
-            factor = other[col]
-            if factor:
-                for j in range(width):
-                    if pivot_row[j]:
-                        other[j] -= factor * pivot_row[j]
+        # Degenerate pivot (rhs is zero), so the pivot may be negative.
+        # Negating the matrix and its denominator keeps the new one positive.
+        if entries[col] < 0:
+            den = -den
+            for other in tableau:
+                other[:] = [-a for a in other]
+        den = _eliminate(tableau, entries, col, den)
         basis[i] = col
         i += 1
+    return den

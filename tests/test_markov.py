@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 from fractions import Fraction
 
@@ -207,3 +208,23 @@ class TestSimpleCycles:
             for cycle in simple_cycles(piece.graph):
                 for i, node in enumerate(cycle):
                     assert (node, cycle[(i + 1) % len(cycle)]) in edges
+
+    def test_long_cycle_needs_no_deep_recursion(self):
+        # One 1200-node ring, deeper than the default recursion limit.
+        names = [f"n{i:04d}" for i in range(1200)]
+        nodes = [(name, (i % 3 - 1, int(i == 0))) for i, name in enumerate(names)]
+        edges = [(names[i], names[(i + 1) % 1200]) for i in range(1200)]
+        piece = curved(nodes, edges)
+        assert simple_cycles(piece.graph) == [tuple(names)]
+        assert piece_rotation_set(piece).vertices == (V(0, Fraction(1, 1200)),)
+
+    def test_leaves_no_reference_cycles(self):
+        nodes = [(name, (0, 0)) for name in "abcde"]
+        piece = curved(nodes, [(u, v) for u in "abcde" for v in "abcde"])
+        gc.collect()
+        gc.disable()
+        try:
+            assert len(simple_cycles(piece.graph)) == 89
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -216,6 +216,14 @@ class TestCli:
         capsys.readouterr()
         assert main(["compute", str(path)]) == 2
 
+    def test_zero_denominator_exit_code(self, tmp_path, capsys):
+        doc = model_to_dict(genus2_full())
+        doc["pieces"][0]["graph"]["nodes"][0]["displacement"][1] = "1/0"
+        path = tmp_path / "zero.json"
+        path.write_text(dumps_canonical(doc), encoding="utf-8")
+        assert main(["compute", str(path)]) == 2
+        assert "/displacement/1: unreadable rational '1/0'" in capsys.readouterr().err
+
     def test_oracle_samples_flag(self, capsys):
         code = main(
             ["check", "genus2_full", "--oracle-samples", "64", "--seed", "5"]
