@@ -13,7 +13,7 @@ Three stories:
   pattern, subspace containment, chain containment and per-block convexity.
 """
 
-from rotaxa import compute, get_fixture, interior_check, verify_structure
+from rotaxa import compute, get_fixture, interior_check, run_checks
 from rotaxa.exactgeom import affine_dim, contains_point, as_vector
 
 print("== one edge away from convexity ==")
@@ -40,6 +40,5 @@ print("point (1,1,0,0) lies in both planar blocks:",
 
 print()
 print("== structural report ==")
-structure = verify_structure(overlap.model, overlap.blocks)
-for check in structure.checks:
+for check in run_checks(overlap, bound=True, subspace=True, convex_density=4):
     print(f"  {check.name}: {'pass' if check.passed else 'FAIL'}")

@@ -24,7 +24,6 @@ from .conley import (
     Subsurface,
     chain_marked_support,
     enumerate_blocks,
-    verify_structure,
 )
 from .engine import Computation, compute, run_checks
 from .errors import (
@@ -51,7 +50,6 @@ from .heteroclinic import (
     HeteroclinicPoset,
     RelationEdge,
     chain_rotation_set,
-    global_rotation_union,
     maximal_nontrivial_chains,
     relation_edge,
 )
@@ -102,7 +100,6 @@ __all__ = [
     "extreme_points",
     "fixture_catalog",
     "get_fixture",
-    "global_rotation_union",
     "graph_from_edges",
     "in_span",
     "interior_check",
@@ -122,6 +119,5 @@ __all__ = [
     "star_shape_check",
     "validate_model",
     "validate_piece",
-    "verify_structure",
     "word_rotation_vector",
 ]

@@ -12,11 +12,10 @@ fixture (``rotaxa check genus2_full --interior``).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from .engine import compute, outcomes_passed, run_checks
+from .engine import compute, outcomes_passed, run_checks, validate
 from .errors import (
     EngineError,
     ModelFormatError,
@@ -24,12 +23,11 @@ from .errors import (
     ResourceCapError,
 )
 from .fixtures import FIXTURE_NAMES, get_fixture
-from .model import ModelDocument, validate_model
+from .model import ModelDocument
 from .serialize import (
     blocks_to_csv,
     dumps_canonical,
     model_to_dict,
-    outcomes_to_json,
     result_to_dict,
     load_model,
 )
@@ -141,7 +139,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     model = _resolve_model(args.model)
 
     if args.command == "validate":
-        violations, warnings = validate_model(model)
+        violations, warnings = validate(model)
         for warning in warnings:
             print(f"warning: {warning}", file=sys.stderr)
         if violations:

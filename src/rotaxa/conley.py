@@ -8,7 +8,8 @@ visits plus left/right orientation marks at a repelling initial annulus and
 an attracting final annulus.  Chains sharing a marked support pool into one
 *block*: the convex hull of their rotation sets coned to the origin.  The
 number of blocks is bounded by four per support and the per-genus budget of
-supports, which is what the structural report verifies.
+supports; the checks in :mod:`rotaxa.engine` verify that and the other
+structural claims about the blocks.
 """
 
 from __future__ import annotations
@@ -21,19 +22,12 @@ from .exactgeom import (
     RationalPolytope,
     SubspaceBasis,
     Vector,
-    contains_point,
     extreme_points,
-    in_span,
     rank_of,
     zero_vector,
 )
-from .heteroclinic import (
-    Chain,
-    HeteroclinicPoset,
-    chain_rotation_set,
-    maximal_nontrivial_chains,
-)
-from .markov import ANNULAR, ATTRACTING, CURVED, REPELLING, TRIVIAL, BasicPieceModel
+from .heteroclinic import Chain, HeteroclinicPoset
+from .markov import ANNULAR, ATTRACTING, CURVED, REPELLING, TRIVIAL
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model import ModelDocument
@@ -87,25 +81,12 @@ class Block:
 
 
 @dataclass(frozen=True)
-class StructureCheck:
-    name: str
-    passed: bool
-    details: tuple[str, ...] = ()
+class ChainData:
+    """A maximal non-trivial chain with its rotation polytope and markings."""
 
-
-@dataclass(frozen=True)
-class StructureReport:
-    checks: tuple[StructureCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(check.passed for check in self.checks)
-
-    def check(self, name: str) -> StructureCheck:
-        for entry in self.checks:
-            if entry.name == name:
-                return entry
-        raise KeyError(name)
+    chain: Chain
+    polytope: RationalPolytope
+    marked_supports: tuple[MarkedSupport, ...]
 
 
 def block_budget(genus: int) -> int:
@@ -269,30 +250,24 @@ def coned(polytope: RationalPolytope) -> RationalPolytope:
     )
 
 
-def enumerate_blocks(
-    model: "ModelDocument",
-    piece_sets: Mapping[str, RationalPolytope] | None = None,
-    chains: Sequence[Chain] | None = None,
-) -> list[Block]:
-    """Group maximal non-trivial chains by marked support and cone each group."""
-    table = model.pieces_by_id()
-    if chains is None:
-        chains = maximal_nontrivial_chains(model.heteroclinic, table)
-    dim = 2 * model.genus
-    groups: dict[MarkedSupport, list[Chain]] = {}
-    polytopes: dict[Chain, RationalPolytope] = {}
-    for chain in chains:
-        polytopes[chain] = chain_rotation_set(chain, table, piece_sets=piece_sets)
-        for key in chain_marked_support(chain, model):
-            groups.setdefault(key, []).append(chain)
+def enumerate_blocks(chains: Sequence[ChainData]) -> list[Block]:
+    """Group chains by marked support and cone each group to the origin."""
+    groups: dict[MarkedSupport, list[ChainData]] = {}
+    for data in chains:
+        for key in data.marked_supports:
+            groups.setdefault(key, []).append(data)
     blocks = []
     for key in sorted(groups, key=MarkedSupport.sort_key):
         members = groups[key]
-        points: set[Vector] = {zero_vector(dim)}
-        for chain in members:
-            points.update(polytopes[chain].vertices)
+        points: set[Vector] = {zero_vector(members[0].polytope.dim)}
+        for data in members:
+            points.update(data.polytope.vertices)
         blocks.append(
-            Block(key=key, polytope=extreme_points(points), chains=tuple(members))
+            Block(
+                key=key,
+                polytope=extreme_points(points),
+                chains=tuple(data.chain for data in members),
+            )
         )
     return blocks
 
@@ -303,103 +278,3 @@ def support_span(key: MarkedSupport, model: "ModelDocument") -> SubspaceBasis:
     for sub_id in sorted(key.support):
         vectors.extend(model.decomposition.subsurface(sub_id).subspace.basis)
     return SubspaceBasis(basis=tuple(vectors))
-
-
-def verify_structure(
-    model: "ModelDocument",
-    blocks: Sequence[Block],
-    piece_sets: Mapping[str, RationalPolytope] | None = None,
-    convex_density: int = 4,
-) -> StructureReport:
-    """Pass/fail report for the structural claims about the block decomposition.
-
-    Checks: (a) the block count bound, (b) marked-variant pattern per support,
-    (c) containment of each block in the span of its support, (d) containment
-    of every chain polytope in its blocks, (e) a convexity probe of each
-    block's union of coned chain sets.
-    """
-    from .analysis import convexity_probe
-
-    table = model.pieces_by_id()
-    checks: list[StructureCheck] = []
-
-    budget = block_budget(model.genus)
-    detail = f"{len(blocks)} blocks against budget {budget}"
-    checks.append(
-        StructureCheck("block_count_bound", len(blocks) <= budget, (detail,))
-    )
-
-    by_support: dict[frozenset[str], list[Block]] = {}
-    for block in blocks:
-        by_support.setdefault(block.key.support, []).append(block)
-    variant_issues: list[str] = []
-    for support, members in sorted(by_support.items(), key=lambda kv: sorted(kv[0])):
-        initials = {b.key.initial_mark for b in members}
-        finals = {b.key.final_mark for b in members}
-        label = "+".join(sorted(support))
-        if NO_MARK in initials and len(initials) > 1:
-            variant_issues.append(f"support {label}: mixed zero/oriented initial marks")
-        if NO_MARK in finals and len(finals) > 1:
-            variant_issues.append(f"support {label}: mixed zero/oriented final marks")
-        if len(members) not in (1, 2, 4):
-            variant_issues.append(
-                f"support {label}: {len(members)} marked variants"
-            )
-    checks.append(
-        StructureCheck(
-            "support_variants", not variant_issues, tuple(variant_issues)
-        )
-    )
-
-    span_issues: list[str] = []
-    for block in blocks:
-        span = support_span(block.key, model)
-        if not in_span(span, block.polytope):
-            for v in block.polytope.vertices:
-                if rank_of(list(span.basis) + [v]) != rank_of(span.basis):
-                    span_issues.append(
-                        f"block {block.key.label()}: vertex "
-                        f"{tuple(str(c) for c in v)} outside the support span"
-                    )
-                    break
-    checks.append(
-        StructureCheck("subspace_containment", not span_issues, tuple(span_issues))
-    )
-
-    containment_issues: list[str] = []
-    chain_polytopes: dict[Chain, RationalPolytope] = {}
-    for block in blocks:
-        for chain in block.chains:
-            if chain not in chain_polytopes:
-                chain_polytopes[chain] = chain_rotation_set(
-                    chain, table, piece_sets=piece_sets
-                )
-            polytope = chain_polytopes[chain]
-            for v in polytope.vertices:
-                if not contains_point(block.polytope, v):
-                    containment_issues.append(
-                        f"chain {'<'.join(chain)}: vertex "
-                        f"{tuple(str(c) for c in v)} outside block {block.key.label()}"
-                    )
-    checks.append(
-        StructureCheck(
-            "chain_in_block", not containment_issues, tuple(containment_issues)
-        )
-    )
-
-    convexity_issues: list[str] = []
-    for block in blocks:
-        members = [coned(chain_polytopes[chain]) for chain in block.chains]
-        ok, witness = convexity_probe(members, density=convex_density)
-        if not ok:
-            convexity_issues.append(
-                f"block {block.key.label()}: uncovered point "
-                f"{tuple(str(c) for c in witness)}"  # type: ignore[union-attr]
-            )
-    checks.append(
-        StructureCheck(
-            "block_union_convexity", not convexity_issues, tuple(convexity_issues)
-        )
-    )
-
-    return StructureReport(checks=tuple(checks))

@@ -1,10 +1,12 @@
 """Computation pipeline: validate, compute chains and blocks, run checks.
 
-Everything downstream of the model document is deterministic, so one
-:class:`Computation` value is the complete answer for a model: per-piece
-rotation polytopes, maximal non-trivial chains with their polytopes and
-marked supports, and the convex blocks.  Check outcomes are plain data so
-the command line (or a test) can render them without recomputation.
+:func:`compute` builds every piece polytope and every maximal chain's
+polytope and marked supports once, validates the model against them, and
+assembles the convex blocks from them.  The :class:`Computation` it returns
+is the complete, deterministic answer for a model.  Each check reads it
+without recomputing anything and returns a :class:`CheckOutcome`, plain data
+that the command line (or a test) can render; :func:`run_checks` calls only
+the checks requested.
 """
 
 from __future__ import annotations
@@ -14,26 +16,21 @@ from typing import Sequence
 
 from . import analysis
 from .conley import (
+    NO_MARK,
     Block,
-    MarkedSupport,
+    ChainData,
     block_budget,
     chain_marked_support,
+    coned,
     enumerate_blocks,
-    verify_structure,
+    support_span,
 )
-from .errors import ModelValidationError
-from .exactgeom import RationalPolytope, affine_dim, contains_point
+from .errors import ModelValidationError, ResourceCapError
+from .exactgeom import RationalPolytope, contains_point, in_span, rank_of
 from .heteroclinic import Chain, chain_rotation_set, maximal_nontrivial_chains
 from .markov import rotation_sets
-from .model import ModelDocument, validate_model
+from .model import ModelDocument, validate_model, validate_rotation_data
 from .oracle import sample_chain_averages
-
-
-@dataclass(frozen=True)
-class ChainData:
-    chain: Chain
-    polytope: RationalPolytope
-    marked_supports: tuple[MarkedSupport, ...]
 
 
 @dataclass(frozen=True)
@@ -53,31 +50,55 @@ class CheckOutcome:
     info: dict = field(default_factory=dict)
 
 
+def _rotation_data(
+    model: ModelDocument,
+) -> tuple[dict[str, RationalPolytope], dict[Chain, RationalPolytope]]:
+    """Each piece's polytope, and each maximal non-trivial chain's."""
+    table = model.pieces_by_id()
+    piece_sets = rotation_sets(table)
+    chain_sets = {
+        chain: chain_rotation_set(chain, table, piece_sets=piece_sets)
+        for chain in maximal_nontrivial_chains(model.heteroclinic, table)
+    }
+    return piece_sets, chain_sets
+
+
+def validate(model: ModelDocument) -> tuple[list[str], list[str]]:
+    """Every violation and warning of the model.
+
+    The rotation-dependent checks run only when the static ones pass; a
+    resource cap met while building their data skips them with a warning.
+    """
+    violations, warnings = validate_model(model)
+    if violations:
+        return violations, warnings
+    try:
+        piece_sets, chain_sets = _rotation_data(model)
+    except ResourceCapError as exc:
+        return violations, warnings + [f"skipped rotation-dependent validation: {exc}"]
+    violations, more = validate_rotation_data(model, piece_sets, chain_sets)
+    return violations, warnings + more
+
+
 def compute(model: ModelDocument) -> Computation:
     """Validate the model and compute its chains and blocks."""
     violations, warnings = validate_model(model)
     if violations:
         raise ModelValidationError(violations)
-    table = model.pieces_by_id()
-    piece_sets = rotation_sets(table)
-    chains = maximal_nontrivial_chains(model.heteroclinic, table)
-    chain_data = tuple(
-        ChainData(
-            chain=chain,
-            polytope=chain_rotation_set(chain, table, piece_sets=piece_sets),
-            marked_supports=tuple(chain_marked_support(chain, model)),
-        )
-        for chain in chains
-    )
-    blocks = tuple(
-        enumerate_blocks(model, piece_sets=piece_sets, chains=chains)
+    piece_sets, chain_sets = _rotation_data(model)
+    violations, more = validate_rotation_data(model, piece_sets, chain_sets)
+    if violations:
+        raise ModelValidationError(violations)
+    chains = tuple(
+        ChainData(chain, polytope, tuple(chain_marked_support(chain, model)))
+        for chain, polytope in chain_sets.items()
     )
     return Computation(
         model=model,
         piece_sets=piece_sets,
-        chains=chain_data,
-        blocks=blocks,
-        warnings=tuple(warnings),
+        chains=chains,
+        blocks=tuple(enumerate_blocks(chains)),
+        warnings=tuple(warnings + more),
     )
 
 
@@ -91,97 +112,164 @@ def run_checks(
     oracle_samples: int | None = None,
     seed: int = 1,
 ) -> list[CheckOutcome]:
-    """Run the requested structural checks; default to the standard battery."""
+    """Run the requested checks and only those; default to the standard battery."""
     if not any([star, bound, subspace, convex_density, interior, oracle_samples]):
         star = bound = subspace = interior = True
         convex_density = analysis.DEFAULT_PROBE_DENSITY
 
-    model = computation.model
     outcomes: list[CheckOutcome] = []
-    structure = None
-    if bound or subspace or convex_density:
-        structure = verify_structure(
-            model,
-            computation.blocks,
-            piece_sets=computation.piece_sets,
-            convex_density=convex_density or analysis.DEFAULT_PROBE_DENSITY,
-        )
-
     if star:
-        chain_polytopes = [data.polytope for data in computation.chains]
-        if chain_polytopes:
-            ok, witness = analysis.star_shape_check(chain_polytopes)
-            details = ()
-            info = {}
-            if witness is not None:
-                details = (
-                    f"segment to {tuple(str(c) for c in witness.point)} uncovered "
-                    f"between parameters {witness.gap[0]} and {witness.gap[1]}",
-                )
-                info = {
-                    "witness": [str(c) for c in witness.point],
-                    "gap": [str(witness.gap[0]), str(witness.gap[1])],
-                }
-            outcomes.append(CheckOutcome("star_shape", ok, details, info))
-        else:
-            outcomes.append(
-                CheckOutcome("star_shape", True, ("no non-trivial chains",))
-            )
-
+        outcomes.append(_star_shape(computation))
     if bound:
-        for name in ("block_count_bound", "support_variants"):
-            check = structure.check(name)
-            outcomes.append(
-                CheckOutcome(
-                    name,
-                    check.passed,
-                    check.details,
-                    {"blocks": len(computation.blocks),
-                     "budget": block_budget(model.genus)},
-                )
-            )
-
+        outcomes.append(_block_count_bound(computation))
+        outcomes.append(_support_variants(computation))
     if subspace:
-        for name in ("subspace_containment", "chain_in_block"):
-            check = structure.check(name)
-            outcomes.append(CheckOutcome(name, check.passed, check.details))
-
+        outcomes.append(_subspace_containment(computation))
+        outcomes.append(_chain_in_block(computation))
     if convex_density:
-        check = structure.check("block_union_convexity")
-        info: dict = {"density": convex_density}
-        union = [block.polytope for block in computation.blocks]
-        if union:
-            ok, witness = analysis.convexity_probe(union, density=convex_density)
-            info["global_union_convex"] = ok
-            if witness is not None:
-                info["global_witness"] = [str(c) for c in witness]
-        outcomes.append(
-            CheckOutcome("block_union_convexity", check.passed, check.details, info)
-        )
-
+        outcomes.append(_block_union_convexity(computation, convex_density))
     if interior:
-        report = analysis.interior_check(computation.blocks, model.genus)
-        details = ()
-        if report.detail:
-            details = (report.detail,)
-        outcomes.append(
-            CheckOutcome(
-                "interior",
-                report.status != analysis.VIOLATION,
-                details,
-                {"status": report.status, "container": report.container},
-            )
-        )
-
+        outcomes.append(_interior(computation))
     if oracle_samples:
-        outcomes.append(
-            _sampling_check(computation, oracle_samples, seed)
-        )
-
+        outcomes.append(_chain_sampling(computation, oracle_samples, seed))
     return outcomes
 
 
-def _sampling_check(
+def _star_shape(computation: Computation) -> CheckOutcome:
+    """The union of the chain polytopes is star-shaped about the origin."""
+    if not computation.chains:
+        return CheckOutcome("star_shape", True, ("no non-trivial chains",))
+    ok, witness = analysis.star_shape_check(
+        [data.polytope for data in computation.chains]
+    )
+    if witness is None:
+        return CheckOutcome("star_shape", ok)
+    low, high = witness.gap
+    return CheckOutcome(
+        "star_shape",
+        ok,
+        (
+            f"segment to {tuple(str(c) for c in witness.point)} uncovered "
+            f"between parameters {low} and {high}",
+        ),
+        {"witness": [str(c) for c in witness.point], "gap": [str(low), str(high)]},
+    )
+
+
+def _bound_info(computation: Computation) -> dict:
+    return {
+        "blocks": len(computation.blocks),
+        "budget": block_budget(computation.model.genus),
+    }
+
+
+def _block_count_bound(computation: Computation) -> CheckOutcome:
+    """At most four blocks per admissible support over the genus budget."""
+    info = _bound_info(computation)
+    return CheckOutcome(
+        "block_count_bound",
+        info["blocks"] <= info["budget"],
+        (f"{info['blocks']} blocks against budget {info['budget']}",),
+        info,
+    )
+
+
+def _support_variants(computation: Computation) -> CheckOutcome:
+    """Each support has 1, 2 or 4 marked variants, never zero mixed with
+    oriented marks."""
+    by_support: dict[frozenset[str], list[Block]] = {}
+    for block in computation.blocks:
+        by_support.setdefault(block.key.support, []).append(block)
+    issues: list[str] = []
+    for support, members in sorted(by_support.items(), key=lambda kv: sorted(kv[0])):
+        initials = {b.key.initial_mark for b in members}
+        finals = {b.key.final_mark for b in members}
+        label = "+".join(sorted(support))
+        if NO_MARK in initials and len(initials) > 1:
+            issues.append(f"support {label}: mixed zero/oriented initial marks")
+        if NO_MARK in finals and len(finals) > 1:
+            issues.append(f"support {label}: mixed zero/oriented final marks")
+        if len(members) not in (1, 2, 4):
+            issues.append(f"support {label}: {len(members)} marked variants")
+    return CheckOutcome(
+        "support_variants", not issues, tuple(issues), _bound_info(computation)
+    )
+
+
+def _subspace_containment(computation: Computation) -> CheckOutcome:
+    """Each block lies in the span of its support's subspaces."""
+    issues: list[str] = []
+    for block in computation.blocks:
+        span = support_span(block.key, computation.model)
+        if in_span(span, block.polytope):
+            continue
+        for v in block.polytope.vertices:
+            if rank_of(list(span.basis) + [v]) != rank_of(span.basis):
+                issues.append(
+                    f"block {block.key.label()}: vertex "
+                    f"{tuple(str(c) for c in v)} outside the support span"
+                )
+                break
+    return CheckOutcome("subspace_containment", not issues, tuple(issues))
+
+
+def _chain_in_block(computation: Computation) -> CheckOutcome:
+    """Each chain polytope lies in every block the chain contributes to."""
+    polytopes = {data.chain: data.polytope for data in computation.chains}
+    issues: list[str] = []
+    for block in computation.blocks:
+        for chain in block.chains:
+            for v in polytopes[chain].vertices:
+                if not contains_point(block.polytope, v):
+                    issues.append(
+                        f"chain {'<'.join(chain)}: vertex "
+                        f"{tuple(str(c) for c in v)} outside block {block.key.label()}"
+                    )
+    return CheckOutcome("chain_in_block", not issues, tuple(issues))
+
+
+def _block_union_convexity(computation: Computation, density: int) -> CheckOutcome:
+    """Grid probe of each block's union of coned chain polytopes.
+
+    A block of one chain is one coned convex polytope, so only blocks that
+    pool two or more chains are probed.  The union of all blocks is probed
+    too; its verdict is informational.
+    """
+    polytopes = {data.chain: data.polytope for data in computation.chains}
+    issues: list[str] = []
+    for block in computation.blocks:
+        if len(block.chains) < 2:
+            continue
+        members = [coned(polytopes[chain]) for chain in block.chains]
+        ok, witness = analysis.convexity_probe(members, density=density)
+        if not ok:
+            issues.append(
+                f"block {block.key.label()}: uncovered point "
+                f"{tuple(str(c) for c in witness)}"  # type: ignore[union-attr]
+            )
+    info: dict = {"density": density}
+    if computation.blocks:
+        ok, witness = analysis.convexity_probe(
+            [block.polytope for block in computation.blocks], density=density
+        )
+        info["global_union_convex"] = ok
+        if witness is not None:
+            info["global_witness"] = [str(c) for c in witness]
+    return CheckOutcome("block_union_convexity", not issues, tuple(issues), info)
+
+
+def _interior(computation: Computation) -> CheckOutcome:
+    """A full-dimensional block, if any, contains every other block."""
+    report = analysis.interior_check(computation.blocks, computation.model.genus)
+    return CheckOutcome(
+        "interior",
+        report.status != analysis.VIOLATION,
+        (report.detail,) if report.detail else (),
+        {"status": report.status, "container": report.container},
+    )
+
+
+def _chain_sampling(
     computation: Computation, total_samples: int, seed: int
 ) -> CheckOutcome:
     """Seeded chain averages must land in their chain polytope and blocks."""
@@ -222,10 +310,6 @@ def _sampling_check(
         tuple(failures[:10]),
         {"samples": tested, "violations": len(failures)},
     )
-
-
-def block_dimensions(computation: Computation) -> list[int]:
-    return [affine_dim(block.polytope) for block in computation.blocks]
 
 
 def outcomes_passed(outcomes: Sequence[CheckOutcome]) -> bool:

@@ -51,19 +51,19 @@ def midpoint(u: Vector, v: Vector) -> Vector:
     return tuple((a + b) * half for a, b in zip(u, v))
 
 
-def format_rational(q: Fraction) -> str:
-    """Render as ``"p/q"`` with positive denominator, or ``"n"`` for integers."""
-    return str(q)
-
-
 def parse_rational(text: str | int) -> Fraction:
+    """Read an integer, or a string in the form ``str`` writes: ``"p/q"``
+    with ``q > 1`` in lowest terms, or ``"n"``."""
     if isinstance(text, bool) or isinstance(text, float):
         raise ValueError(f"rational expected, got {text!r}")
-    return Fraction(text)
+    value = Fraction(text)
+    if isinstance(text, str) and str(value) != text:
+        raise ValueError(f"{text!r} is not a rational in lowest terms")
+    return value
 
 
 def format_vector(v: Vector) -> list[str]:
-    return [format_rational(c) for c in v]
+    return [str(c) for c in v]
 
 
 @dataclass(frozen=True)

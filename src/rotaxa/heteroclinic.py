@@ -15,14 +15,17 @@ their connectivity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .errors import ModelValidationError
+from .errors import ModelValidationError, ResourceCapError
 from .exactgeom import RationalPolytope, extreme_points
 from .markov import ANNULAR, TRIVIAL, BasicPieceModel, piece_rotation_set
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .model import ModelDocument
+# Maximal chains past which enumeration stops with a ResourceCapError.  A
+# ladder relation of depth d has 2^d of them, and each one costs a hull and a
+# marked support downstream (the 32 chains of exp_family(5) take about a
+# second), so this many is already minutes of work.
+CHAIN_CAP = 10_000
 
 MARK_LEFT = "L"
 MARK_RIGHT = "R"
@@ -98,28 +101,27 @@ def find_relation_cycle(poset: HeteroclinicPoset) -> list[str] | None:
     for outs in succ.values():
         outs.sort()
     color: dict[str, int] = {}
-    stack_path: list[str] = []
-
-    def visit(u: str) -> list[str] | None:
-        color[u] = 1
-        stack_path.append(u)
-        for v in succ[u]:
-            state = color.get(v, 0)
-            if state == 1:
-                return stack_path[stack_path.index(v):] + [v]
-            if state == 0:
-                cycle = visit(v)
-                if cycle is not None:
-                    return cycle
-        stack_path.pop()
-        color[u] = 2
-        return None
-
     for node in sorted(poset.pieces):
-        if color.get(node, 0) == 0:
-            cycle = visit(node)
-            if cycle is not None:
-                return cycle
+        if color.get(node, 0):
+            continue
+        # Depth-first search with an explicit stack: one successor iterator
+        # per node on the current path.
+        color[node] = 1
+        path = [node]
+        stack = [iter(succ[node])]
+        while stack:
+            for v in stack[-1]:
+                state = color.get(v, 0)
+                if state == 1:
+                    return path[path.index(v):] + [v]
+                if state == 0:
+                    color[v] = 1
+                    path.append(v)
+                    stack.append(iter(succ[v]))
+                    break
+            else:
+                stack.pop()
+                color[path.pop()] = 2
     return None
 
 
@@ -235,30 +237,30 @@ def maximal_nontrivial_chains(
     covers = _hasse_covers(elements, closure)
     has_predecessor = {v for outs in covers.values() for v in outs}
     chains: list[Chain] = []
-
-    def extend(path: list[str]) -> None:
-        nexts = covers[path[-1]]
-        if not nexts:
-            chains.append(tuple(path))
-            return
-        for v in nexts:
-            path.append(v)
-            extend(path)
-            path.pop()
-
     for root in elements:
-        if root not in has_predecessor:
-            extend([root])
+        if root in has_predecessor:
+            continue
+        # Depth-first walk up the Hasse diagram; each path that reaches a
+        # piece with no cover is a maximal chain.
+        path = [root]
+        stack = [iter(covers[root])]
+        while stack:
+            v = next(stack[-1], None)
+            if v is not None:
+                path.append(v)
+                stack.append(iter(covers[v]))
+                continue
+            if not covers[path[-1]]:
+                chains.append(tuple(path))
+                if len(chains) > CHAIN_CAP:
+                    raise ResourceCapError(
+                        f"maximal_nontrivial_chains: more than {CHAIN_CAP} "
+                        f"maximal chains ({len(chains)} enumerated)"
+                    )
+            stack.pop()
+            path.pop()
     chains.sort()
     return chains
-
-
-def is_chain(
-    sequence: Sequence[str], closure: Mapping[str, frozenset[str]]
-) -> bool:
-    return all(
-        sequence[i + 1] in closure[sequence[i]] for i in range(len(sequence) - 1)
-    )
 
 
 def chain_rotation_set(
@@ -277,16 +279,3 @@ def chain_rotation_set(
             polytope = piece_rotation_set(pieces[name])
         points.extend(polytope.vertices)
     return extreme_points(points)
-
-
-def global_rotation_union(
-    model: "ModelDocument",
-    piece_sets: Mapping[str, RationalPolytope] | None = None,
-) -> list[tuple[Chain, RationalPolytope]]:
-    """The rotation set as a union: one polytope per maximal non-trivial chain."""
-    table = model.pieces_by_id()
-    chains = maximal_nontrivial_chains(model.heteroclinic, table)
-    return [
-        (chain, chain_rotation_set(chain, table, piece_sets=piece_sets))
-        for chain in chains
-    ]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -51,12 +52,6 @@ class MarkovGraph:
     @property
     def node_ids(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.nodes)
-
-    def displacement(self, node: str) -> Vector:
-        for name, disp in self.nodes:
-            if name == node:
-                return disp
-        raise KeyError(node)
 
     def displacements(self) -> dict[str, Vector]:
         return {name: disp for name, disp in self.nodes}
@@ -216,19 +211,24 @@ def word_rotation_vector(piece: BasicPieceModel, word: PeriodicWord) -> Vector:
 def simple_cycles(
     graph: MarkovGraph, cap: int = DEFAULT_CYCLE_CAP
 ) -> list[tuple[str, ...]]:
-    """All elementary cycles, Johnson-style search with blocking.
+    """All elementary cycles, by Johnson's algorithm with blocking.
 
-    Each cycle appears once, rooted at its smallest node.  Raises
-    :class:`ResourceCapError` when more than ``cap`` cycles exist; the
-    enumeration is never silently truncated.  The search keeps an explicit
-    stack, so a long cycle needs no deep recursion.
+    Each cycle appears once, rooted at its smallest node, roots in
+    increasing order.  The search from a root stays in the root's strongly
+    connected component among the nodes at or above it, so a ring of N
+    nodes costs O(N), not O(N^2).  Raises :class:`ResourceCapError` when
+    more than ``cap`` cycles exist; the enumeration is never silently
+    truncated.  Explicit stacks replace recursion.
     """
-    order = {name: i for i, name in enumerate(sorted(graph.node_ids))}
     succ = graph.successors()
     cycles: list[tuple[str, ...]] = []
-
-    for start in sorted(graph.node_ids):
-        floor = order[start]
+    # Components still to search, keyed by their smallest node.  Components
+    # are disjoint, and those of a component minus its root have larger
+    # smallest nodes, so roots leave the heap in increasing order.
+    pending = [(min(c), c) for c in _cyclic_components(set(succ), succ)]
+    heapify(pending)
+    while pending:
+        start, component = heappop(pending)
         blocked = {start}
         blocked_map: dict[str, set[str]] = {}
         path = [start]
@@ -239,7 +239,7 @@ def simple_cycles(
             frame = stack[-1]
             v, successors, _ = frame
             for w in successors:
-                if order[w] < floor:
+                if w not in component:
                     continue
                 if w == start:
                     cycles.append(tuple(path))
@@ -262,9 +262,54 @@ def simple_cycles(
                         stack[-1][2] = True
                 else:
                     for w in succ[v]:
-                        if order[w] >= floor:
+                        if w in component:
                             blocked_map.setdefault(w, set()).add(v)
+        component.discard(start)
+        for sub in _cyclic_components(component, succ):
+            heappush(pending, (min(sub), sub))
     return cycles
+
+
+def _cyclic_components(
+    nodes: set[str], succ: Mapping[str, Sequence[str]]
+) -> list[set[str]]:
+    """Strongly connected components of the subgraph on ``nodes`` that hold
+    a cycle (two or more nodes, or one with a self-loop); Tarjan's algorithm
+    with an explicit stack."""
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}  # only nodes whose component is still open
+    open_nodes: list[str] = []
+    components = []
+    for root in nodes:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        open_nodes.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, successors = work[-1]
+            for w in successors:
+                if w in nodes and w not in index:
+                    index[w] = low[w] = len(index)
+                    open_nodes.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if w in low:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if low[v] < index[v]:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                    continue
+                component = set()
+                while v not in component:
+                    w = open_nodes.pop()
+                    del low[w]
+                    component.add(w)
+                if len(component) > 1 or v in succ[v]:
+                    components.append(component)
+    return components
 
 
 def _unblock(node: str, blocked: set[str], blocked_map: dict[str, set[str]]) -> None:
@@ -301,10 +346,6 @@ def piece_rotation_set(
         tuple(Fraction(t, length * den) for t in total) for total, length in keys
     ]
     return extreme_points(means)
-
-
-def piece_table(pieces: Iterable[BasicPieceModel]) -> dict[str, BasicPieceModel]:
-    return {piece.id: piece for piece in pieces}
 
 
 def rotation_sets(

@@ -1,17 +1,20 @@
 """The aggregate model document and whole-model validation.
 
 A model document bundles the genus, the basic pieces with their symbolic
-graphs, the heteroclinic relation, and the essential decomposition.  The
-validator runs every per-component invariant plus the cross-cutting ones
-(vector lengths against the genus, assignment coverage, direct sums of
-annulus subspaces that share a chain, the soft sanity checks on rotation
-data) and returns violations and warnings as data.
+graphs, the heteroclinic relation, and the essential decomposition.
+Validation comes in two parts, both returning violations and warnings as
+data.  :func:`validate_model` runs every per-component invariant plus the
+static cross-cutting ones (vector lengths against the genus, assignment
+coverage).  :func:`validate_rotation_data` takes the piece and chain
+polytopes that :func:`rotaxa.engine.compute` builds and checks the direct
+sums of annulus subspaces that share a chain and the soft sanity checks on
+rotation data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Mapping
 
 from .conley import (
     ANNULUS,
@@ -19,15 +22,9 @@ from .conley import (
     chain_support,
     validate_decomposition,
 )
-from .errors import ResourceCapError
-from .exactgeom import contains_point, rank_of, zero_vector
-from .heteroclinic import (
-    HeteroclinicPoset,
-    chain_rotation_set,
-    maximal_nontrivial_chains,
-    validate_poset,
-)
-from .markov import TRIVIAL, BasicPieceModel, rotation_sets, validate_piece
+from .exactgeom import RationalPolytope, contains_point, rank_of, zero_vector
+from .heteroclinic import Chain, HeteroclinicPoset, validate_poset
+from .markov import TRIVIAL, BasicPieceModel, validate_piece
 
 
 @dataclass(frozen=True)
@@ -45,22 +42,8 @@ class ModelDocument:
         return 2 * self.genus
 
 
-def make_model(
-    genus: int,
-    pieces: Iterable[BasicPieceModel],
-    heteroclinic: HeteroclinicPoset,
-    decomposition: DecompositionModel,
-) -> ModelDocument:
-    return ModelDocument(
-        genus=genus,
-        pieces=tuple(pieces),
-        heteroclinic=heteroclinic,
-        decomposition=decomposition,
-    )
-
-
 def validate_model(model: ModelDocument) -> tuple[list[str], list[str]]:
-    """All invariant violations and soft warnings of the document."""
+    """Invariant violations and soft warnings that need no rotation data."""
     violations: list[str] = []
     warnings: list[str] = []
 
@@ -99,22 +82,24 @@ def validate_model(model: ModelDocument) -> tuple[list[str], list[str]]:
         f"/decomposition: {v}" for v in validate_decomposition(model)
     )
 
-    if violations:
-        return violations, warnings
+    return violations, warnings
 
-    # Chain-dependent checks need rotation data; caps degrade to warnings.
-    try:
-        piece_sets = rotation_sets(table)
-        chains = maximal_nontrivial_chains(model.heteroclinic, table)
-        chain_sets = {
-            chain: chain_rotation_set(chain, table, piece_sets=piece_sets)
-            for chain in chains
-        }
-    except ResourceCapError as exc:
-        warnings.append(f"skipped rotation-dependent validation: {exc}")
-        return violations, warnings
 
-    for chain in chains:
+def validate_rotation_data(
+    model: ModelDocument,
+    piece_sets: Mapping[str, RationalPolytope],
+    chain_sets: Mapping[Chain, RationalPolytope],
+) -> tuple[list[str], list[str]]:
+    """Violations and warnings that need the rotation data of a valid model.
+
+    ``piece_sets`` holds each piece's polytope and ``chain_sets`` each
+    maximal non-trivial chain's: annulus subspaces along a chain must be in
+    direct sum, and a trivial piece or the origin outside every chain set
+    is suspicious.
+    """
+    violations: list[str] = []
+    warnings: list[str] = []
+    for chain in chain_sets:
         annuli = [
             sub_id
             for sub_id in sorted(chain_support(chain, model))
@@ -144,7 +129,7 @@ def validate_model(model: ModelDocument) -> tuple[list[str], list[str]]:
                 f"trivial piece {piece.id!r} rotates outside every chain set"
             )
 
-    zero = zero_vector(dim)
+    zero = zero_vector(model.dim)
     if any(contains_point(ps, zero) for ps in piece_sets.values()):
         if chain_sets and not any(
             contains_point(cs, zero) for cs in chain_sets.values()

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from fractions import Fraction
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -44,9 +43,29 @@ def _vector_from_json(data: Any, location: str, errors: list[str]) -> Vector:
         try:
             out.append(parse_rational(item))
         except (ValueError, TypeError, ZeroDivisionError):
-            errors.append(f"{location}/{i}: unreadable rational {item!r}")
+            errors.append(
+                f"{location}/{i}: unreadable rational {item!r} "
+                '(expected "p/q" in lowest terms or "n")'
+            )
             return ()
     return tuple(out)
+
+
+def _array(data: dict, key: str, location: str, errors: list[str]) -> list:
+    """``data[key]`` if it is an array; an absent key reads as empty."""
+    value = data.get(key, [])
+    if isinstance(value, list):
+        return value
+    errors.append(f"{location}/{key}: expected an array")
+    return []
+
+
+def _marks(data: dict, key: str, location: str, errors: list[str]) -> frozenset[str]:
+    marks = data.get(key, [])
+    if isinstance(marks, list) and all(isinstance(m, str) for m in marks):
+        return frozenset(marks)
+    errors.append(f"{location}/{key}: expected an array of strings")
+    return frozenset()
 
 
 def _expect(data: dict, key: str, location: str, errors: list[str], kind=None):
@@ -81,7 +100,8 @@ def model_from_dict(data: Any) -> ModelDocument:
         classification = _expect(piece_json, "classification", loc, errors, str)
         graph_json = _expect(piece_json, "graph", loc, errors, dict) or {}
         nodes = []
-        for j, node_json in enumerate(graph_json.get("nodes", [])):
+        nodes_json = _array(graph_json, "nodes", f"{loc}/graph", errors)
+        for j, node_json in enumerate(nodes_json):
             nloc = f"{loc}/graph/nodes/{j}"
             if not isinstance(node_json, dict):
                 errors.append(f"{nloc}: expected an object")
@@ -93,7 +113,8 @@ def model_from_dict(data: Any) -> ModelDocument:
             if name is not None:
                 nodes.append((name, disp))
         edges = []
-        for j, edge_json in enumerate(graph_json.get("edges", [])):
+        edges_json = _array(graph_json, "edges", f"{loc}/graph", errors)
+        for j, edge_json in enumerate(edges_json):
             eloc = f"{loc}/graph/edges/{j}"
             if (
                 not isinstance(edge_json, list)
@@ -103,6 +124,11 @@ def model_from_dict(data: Any) -> ModelDocument:
                 errors.append(f"{eloc}: expected a pair of node ids")
                 continue
             edges.append((edge_json[0], edge_json[1]))
+        annular = {
+            key: _expect(piece_json, key, loc, errors, str)
+            for key in ("package", "fill_behavior")
+            if key in piece_json
+        }
         if pid is None or classification is None:
             continue
         pieces.append(
@@ -110,13 +136,13 @@ def model_from_dict(data: Any) -> ModelDocument:
                 id=pid,
                 classification=classification,
                 graph=MarkovGraph(nodes=tuple(nodes), edges=tuple(sorted(set(edges)))),
-                package=piece_json.get("package"),
-                fill_behavior=piece_json.get("fill_behavior"),
+                **annular,
             )
         )
 
     edges = []
-    for i, edge_json in enumerate(het_json.get("edges", [])):
+    relation_json = _array(het_json, "edges", "/heteroclinic", errors)
+    for i, edge_json in enumerate(relation_json):
         loc = f"/heteroclinic/edges/{i}"
         if not isinstance(edge_json, dict):
             errors.append(f"{loc}: expected an object")
@@ -129,8 +155,8 @@ def model_from_dict(data: Any) -> ModelDocument:
             RelationEdge(
                 source=source,
                 target=target,
-                source_marks=frozenset(edge_json.get("source_marks", [])),
-                target_marks=frozenset(edge_json.get("target_marks", [])),
+                source_marks=_marks(edge_json, "source_marks", loc, errors),
+                target_marks=_marks(edge_json, "target_marks", loc, errors),
             )
         )
     poset = HeteroclinicPoset(
@@ -138,7 +164,8 @@ def model_from_dict(data: Any) -> ModelDocument:
     )
 
     subsurfaces = []
-    for i, sub_json in enumerate(dec_json.get("subsurfaces", [])):
+    subsurfaces_json = _array(dec_json, "subsurfaces", "/decomposition", errors)
+    for i, sub_json in enumerate(subsurfaces_json):
         loc = f"/decomposition/subsurfaces/{i}"
         if not isinstance(sub_json, dict):
             errors.append(f"{loc}: expected an object")
@@ -146,7 +173,7 @@ def model_from_dict(data: Any) -> ModelDocument:
         sid = _expect(sub_json, "id", loc, errors, str)
         kind = _expect(sub_json, "kind", loc, errors, str)
         basis = []
-        for j, vec_json in enumerate(sub_json.get("basis", [])):
+        for j, vec_json in enumerate(_array(sub_json, "basis", loc, errors)):
             basis.append(
                 _vector_from_json(vec_json, f"{loc}/basis/{j}", errors)
             )
@@ -314,7 +341,3 @@ def blocks_to_csv(computation: Computation) -> str:
         for v in block.polytope.vertices:
             lines.append(",".join([label] + format_vector(v)))
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def fraction_str(value: Fraction) -> str:
-    return str(value)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from conftest import V, brute_extreme_2d
 from rotaxa.analysis import CONVEX, convexity_probe, star_shape_check
-from rotaxa.conley import support_span, verify_structure
+from rotaxa.conley import support_span
 from rotaxa.engine import compute, run_checks
 from rotaxa.exactgeom import (
     affine_dim,
@@ -154,12 +154,12 @@ def test_criterion_6_structural_invariants():
     start = time.perf_counter()
     ok = True
     for name, model in ALL_FIXTURES.items():
-        computation = compute(model)
-        structure = verify_structure(
-            model, computation.blocks, piece_sets=computation.piece_sets
-        )
+        outcomes = {
+            outcome.name: outcome
+            for outcome in run_checks(compute(model), bound=True, subspace=True)
+        }
         for check_name in ("support_variants", "subspace_containment", "chain_in_block"):
-            ok = ok and structure.check(check_name).passed
+            ok = ok and outcomes[check_name].passed
 
     # Pass-through trivial piece must not change any computed polytope.
     base = genus2_full()

@@ -19,8 +19,7 @@ from rotaxa.analysis import (
     interior_check,
     star_shape_check,
 )
-from rotaxa.conley import enumerate_blocks, verify_structure
-from rotaxa.engine import compute
+from rotaxa.engine import compute, run_checks
 from rotaxa.exactgeom import (
     contains_point,
     extreme_points,
@@ -134,9 +133,9 @@ class TestConvexityProbe:
 
     def test_fixture_blocks_pass_at_density_4(self):
         for model in (genus2_nonconvex(), genus2_full(), genus2_blocks(), exp_family(2)):
-            blocks = enumerate_blocks(model)
-            report = verify_structure(model, blocks, convex_density=4)
-            assert report.check("block_union_convexity").passed
+            [outcome] = run_checks(compute(model), convex_density=4)
+            assert outcome.name == "block_union_convexity"
+            assert outcome.passed
 
     def test_density_validation(self, triangle):
         with pytest.raises(ValueError):

@@ -12,17 +12,15 @@ from rotaxa.conley import (
     Subsurface,
     block_budget,
     chain_marked_support,
-    enumerate_blocks,
     coned,
     support_span,
-    verify_structure,
 )
+from rotaxa.engine import compute, run_checks
 from rotaxa.errors import ModelValidationError
 from rotaxa.exactgeom import (
     SubspaceBasis,
     affine_dim,
     contains_point,
-    extreme_points,
     rank_of,
     zero_vector,
 )
@@ -155,7 +153,7 @@ class TestMarkedSupport:
 class TestBlocks:
     def test_exp_family_two_levels(self):
         model = exp_family(2)
-        blocks = enumerate_blocks(model)
+        blocks = compute(model).blocks
         assert len(blocks) == 4
         for block in blocks:
             assert affine_dim(block.polytope) == 2
@@ -163,7 +161,7 @@ class TestBlocks:
 
     def test_nonconvex_fixture_blocks_are_the_triangles(self):
         model = genus2_nonconvex()
-        blocks = enumerate_blocks(model)
+        blocks = compute(model).blocks
         assert len(blocks) == 2
         for block in blocks:
             assert contains_point(block.polytope, zero_vector(4))
@@ -180,14 +178,14 @@ class TestBlocks:
         model = ModelDocument(
             genus=2, pieces=pieces, heteroclinic=poset, decomposition=decomposition
         )
-        blocks = enumerate_blocks(model)
+        blocks = compute(model).blocks
         assert len(blocks) == 1
         assert blocks[0].polytope.vertices == (zero_vector(4),)
 
     def test_blocks_contain_origin_and_their_chains(self):
         for model in (genus2_nonconvex(), genus2_full(), genus2_blocks(), exp_family(2)):
             table = model.pieces_by_id()
-            blocks = enumerate_blocks(model)
+            blocks = compute(model).blocks
             for block in blocks:
                 assert contains_point(block.polytope, zero_vector(2 * model.genus))
                 for chain in block.chains:
@@ -210,13 +208,14 @@ class TestBlocks:
 class TestVerifyStructure:
     def test_fixtures_pass_all_checks(self):
         for model in (genus2_nonconvex(), genus2_full(), genus2_blocks(), exp_family(2)):
-            blocks = enumerate_blocks(model)
-            report = verify_structure(model, blocks)
-            assert report.passed, [c for c in report.checks if not c.passed]
+            outcomes = run_checks(
+                compute(model), bound=True, subspace=True, convex_density=4
+            )
+            assert all(o.passed for o in outcomes), [o for o in outcomes if not o.passed]
 
     def test_variant_counts_are_admissible(self):
         model = exp_family(3)
-        blocks = enumerate_blocks(model)
+        blocks = compute(model).blocks
         per_support: dict = {}
         for block in blocks:
             per_support.setdefault(block.key.support, []).append(block)
@@ -243,9 +242,8 @@ class TestVerifyStructure:
             heteroclinic=base.heteroclinic,
             decomposition=decomposition,
         )
-        blocks = enumerate_blocks(model)
-        report = verify_structure(model, blocks)
-        check = report.check("subspace_containment")
+        check, _ = run_checks(compute(model), subspace=True)
+        assert check.name == "subspace_containment"
         assert not check.passed
         assert any("outside the support span" in d for d in check.details)
 
@@ -256,7 +254,7 @@ class TestVerifyStructure:
     def test_exp_family_support_span_intersections(self):
         k = 3
         model = exp_family(k)
-        blocks = enumerate_blocks(model)
+        blocks = compute(model).blocks
         spans = [support_span(b.key, model) for b in blocks]
         for i in range(len(spans)):
             for j in range(i + 1, len(spans)):

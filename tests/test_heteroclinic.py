@@ -8,19 +8,24 @@ from itertools import combinations
 import pytest
 
 from conftest import V
+from rotaxa.engine import compute
 from rotaxa.errors import ModelValidationError
 from rotaxa.exactgeom import contains_point, extreme_points, zero_vector
 from rotaxa.fixtures import exp_family, genus2_blocks, genus2_full, genus2_nonconvex
 from rotaxa.heteroclinic import (
     HeteroclinicPoset,
     chain_rotation_set,
-    global_rotation_union,
     maximal_nontrivial_chains,
     relation_edge,
     transitive_closure,
     validate_poset,
 )
 from rotaxa.markov import CURVED, TRIVIAL, BasicPieceModel, graph_from_edges
+
+
+def rotation_union(model):
+    """The rotation set as a union: one polytope per maximal chain."""
+    return [(data.chain, data.polytope) for data in compute(model).chains]
 
 
 def point_piece(piece_id, vector, classification=CURVED):
@@ -160,7 +165,7 @@ class TestChainRotationSets:
     def test_chain_contains_member_pieces(self):
         model = genus2_full()
         table = model.pieces_by_id()
-        for chain, poly in global_rotation_union(model):
+        for chain, poly in rotation_union(model):
             for name in chain:
                 member = chain_rotation_set((name,), table)
                 for v in member.vertices:
@@ -169,13 +174,13 @@ class TestChainRotationSets:
 
 class TestGlobalUnion:
     def test_two_unrelated_pieces(self):
-        union = global_rotation_union(genus2_nonconvex())
+        union = rotation_union(genus2_nonconvex())
         assert [chain for chain, _ in union] == [("H1",), ("H2",)]
         dims = [len(poly.vertices) for _, poly in union]
         assert dims == [3, 3]
 
     def test_related_pieces_merge(self):
-        union = global_rotation_union(genus2_full())
+        union = rotation_union(genus2_full())
         assert len(union) == 1
         chain, poly = union[0]
         assert chain == ("H1", "H2")
@@ -183,14 +188,14 @@ class TestGlobalUnion:
 
     def test_single_piece_model(self):
         model = genus2_blocks()
-        union = dict(global_rotation_union(model))
+        union = dict(rotation_union(model))
         assert union[("C1",)] == chain_rotation_set(
             ("C1",), model.pieces_by_id()
         )
 
     def test_zero_in_union_when_some_piece_has_zero(self):
         model = genus2_blocks()
-        union = global_rotation_union(model)
+        union = rotation_union(model)
         zero = zero_vector(4)
         assert any(contains_point(poly, zero) for _, poly in union)
 

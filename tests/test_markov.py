@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import V
 from rotaxa.errors import InadmissibleWordError, ResourceCapError
@@ -192,7 +194,43 @@ def random_scc_piece(rng: random.Random, max_nodes: int = 6) -> BasicPieceModel:
     )
 
 
+def plain_simple_cycles(graph):
+    """Every elementary cycle by plain depth-first search, with no blocking:
+    from each start node in sorted order, every path over larger nodes, in
+    sorted successor order, that returns to the start."""
+    succ = {name: [] for name in graph.node_ids}
+    for u, v in sorted(set(graph.edges)):
+        succ[u].append(v)
+    cycles = []
+
+    def walk(start, path):
+        for w in succ[path[-1]]:
+            if w == start:
+                cycles.append(tuple(path))
+            elif w > start and w not in path:
+                walk(start, path + [w])
+
+    for start in sorted(succ):
+        walk(start, [start])
+    return cycles
+
+
+@st.composite
+def digraphs(draw):
+    names = draw(
+        st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=7, unique=True)
+    )
+    node = st.sampled_from(names)
+    edges = draw(st.sets(st.tuples(node, node), max_size=3 * len(names)))
+    return graph_from_edges([(name, (0,)) for name in names], edges)
+
+
 class TestSimpleCycles:
+    @settings(max_examples=300)
+    @given(digraphs())
+    def test_matches_plain_depth_first_search(self, graph):
+        assert simple_cycles(graph) == plain_simple_cycles(graph)
+
     def test_counts_on_complete_digraph(self):
         piece = curved(KWAPISZ_NODES, KWAPISZ_EDGES)
         cycles = simple_cycles(piece.graph)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -27,6 +28,99 @@ from rotaxa.serialize import (
     model_to_dict,
     result_to_dict,
 )
+
+def one_node_loop(displacement):
+    return {"nodes": [{"id": "o", "displacement": displacement}], "edges": [["o", "o"]]}
+
+
+def curved_model_document(pieces, relation):
+    """Genus 2; every curved piece lives in one curved surface."""
+    return {
+        "genus": 2,
+        "pieces": pieces,
+        "heteroclinic": {
+            "edges": [{"source": u, "target": v} for u, v in relation]
+        },
+        "decomposition": {
+            "subsurfaces": [
+                {"id": "S", "kind": "curved_surface", "basis": [["1", "0", "0", "0"]]}
+            ],
+            "assignment": {
+                p["id"]: "S" for p in pieces if p["classification"] == "curved"
+            },
+        },
+    }
+
+
+def relation_path_document(length):
+    """A curved piece at the head of a relation path of trivial connectors."""
+    names = ["H"] + [f"T{i:04d}" for i in range(1, length)]
+    pieces = [
+        {
+            "id": name,
+            "classification": "curved" if name == "H" else "trivial",
+            "graph": one_node_loop(["0", "0", "0", "0"]),
+        }
+        for name in names
+    ]
+    return curved_model_document(pieces, zip(names, names[1:]))
+
+
+def ladder_document(depth):
+    """Two curved pieces per level, each related to both of the next level:
+    2^depth maximal chains."""
+    levels = [[f"L{i:02d}a", f"L{i:02d}b"] for i in range(depth)]
+    pieces = [
+        {
+            "id": name,
+            "classification": "curved",
+            "graph": one_node_loop(["0", "0", "0", "0"]),
+        }
+        for level in levels
+        for name in level
+    ]
+    relation = [
+        (u, v) for low, high in zip(levels, levels[1:]) for u in low for v in high
+    ]
+    return curved_model_document(pieces, relation)
+
+
+# Each case sets one value of the exp_family(1) document; the parser must
+# reject it with exit 2 and this pointer-located message.
+MALFORMED_INPUTS = [
+    pytest.param(
+        ("pieces", 0, "graph", "nodes", 1, "displacement", 0), text,
+        f"/pieces/0/graph/nodes/1/displacement/0: unreadable rational {text!r}",
+        id=f"rational {text!r}",
+    )
+    for text in ("2/4", "1.5", "1e3", " 3 ", "+3", "-0")
+] + [
+    pytest.param(
+        ("heteroclinic", "edges", 0, "source_marks"), "LR",
+        "/heteroclinic/edges/0/source_marks: expected an array of strings",
+        id="marks as a string",
+    ),
+    pytest.param(
+        ("heteroclinic", "edges", 0, "target_marks"), [1],
+        "/heteroclinic/edges/0/target_marks: expected an array of strings",
+        id="marks holding a number",
+    ),
+    pytest.param(
+        ("pieces", 0, "package"), 5, "/pieces/0/package: wrong type int",
+        id="package as a number",
+    ),
+    pytest.param(
+        ("pieces", 0, "fill_behavior"), ["neither"],
+        "/pieces/0/fill_behavior: wrong type list",
+        id="fill_behavior as an array",
+    ),
+    pytest.param(
+        ("pieces", 0, "graph", "nodes"), 5,
+        "/pieces/0/graph/nodes: expected an array",
+        id="nodes as a number",
+    ),
+]
+
 
 ALL_FIXTURES = [
     genus2_nonconvex(),
@@ -245,3 +339,34 @@ class TestCli:
         monkeypatch.setattr(engine, "rotation_sets", blow_up)
         assert main(["compute", "genus2_full"]) == 3
         assert "resource cap" in capsys.readouterr().err
+
+    def test_deep_relation_path_computes(self, tmp_path, capsys):
+        # 1200 pieces in one relation path, deeper than the default
+        # recursion limit; the trivial connectors drop out of the chains.
+        path = tmp_path / "path.json"
+        path.write_text(dumps_canonical(relation_path_document(1200)), encoding="utf-8")
+        assert main(["compute", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [chain["pieces"] for chain in payload["chains"]] == [["H"]]
+
+    def test_chain_cap_exit_code(self, tmp_path, capsys):
+        # A depth-14 ladder has 16384 maximal chains, past the chain cap.
+        path = tmp_path / "ladder.json"
+        path.write_text(dumps_canonical(ladder_document(14)), encoding="utf-8")
+        start = time.perf_counter()
+        assert main(["compute", str(path)]) == 3
+        assert time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err
+        assert "maximal_nontrivial_chains: more than 10000 maximal chains" in err
+
+    @pytest.mark.parametrize("where, value, message", MALFORMED_INPUTS)
+    def test_malformed_input_exit_code(self, tmp_path, capsys, where, value, message):
+        doc = model_to_dict(exp_family(1))
+        target = doc
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = value
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["compute", str(path)]) == 2
+        assert message in capsys.readouterr().err
