@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import DimensionMismatchError
@@ -31,8 +31,6 @@ from .exactgeom import (
     extreme_points,
     midpoint,
     segment_uncovered_gap,
-    vector_add,
-    vector_scale,
     zero_vector,
 )
 
@@ -141,19 +139,27 @@ def star_shape_check(
 def probe_points(
     hull: RationalPolytope, density: int
 ) -> list[Vector]:
-    """Rational barycentric grid of the hull plus all pairwise vertex midpoints."""
-    verts = hull.vertices
-    points: set[Vector] = set(verts)
-    for u, v in combinations(verts, 2):
-        points.add(midpoint(u, v))
-    for den in range(1, density + 1):
+    """Rational barycentric grid of the hull plus all pairwise vertex midpoints.
+
+    The grid of denominator 2 is exactly the vertices and the pairwise
+    midpoints, so the grids of denominators up to ``max(density, 2)`` are
+    taken.  Every grid point times ``common``, a multiple of each vertex's
+    denominator times each grid denominator, is an integer vector; the
+    points are summed, deduplicated and sorted as those, and divided once.
+    """
+    top = max(density, 2)
+    ints = [_scaled(v) for v in hull.vertices]
+    common = lcm(*(den for _, den in ints)) * lcm(*range(1, top + 1))
+    verts = [tuple(c * (common // den) for c in nums) for nums, den in ints]
+    points: set[tuple[int, ...]] = set()
+    for den in range(1, top + 1):
         for weights in _compositions(den, len(verts)):
-            point = zero_vector(hull.dim)
+            total = [0] * hull.dim
             for w, vertex in zip(weights, verts):
                 if w:
-                    point = vector_add(point, vector_scale(vertex, Fraction(w, den)))
-            points.add(point)
-    return sorted(points)
+                    total = [t + w * c for t, c in zip(total, vertex)]
+            points.add(tuple(t // den for t in total))
+    return [tuple(Fraction(t, common) for t in point) for point in sorted(points)]
 
 
 def _compositions(total: int, parts: int):

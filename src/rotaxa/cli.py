@@ -38,6 +38,17 @@ EXIT_INVALID_INPUT = 2
 EXIT_RESOURCE_CAP = 3
 
 
+def _positive_int(text: str) -> int:
+    """An integer of at least 1; argparse names the flag and exits with 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rotaxa",
@@ -61,12 +72,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--subspace", action="store_true", help="span and chain containments"
     )
     p_check.add_argument(
-        "--convex-density", type=int, default=None, metavar="N",
+        "--convex-density", type=_positive_int, default=None, metavar="N",
         help="probe block convexity on a grid of denominator N",
     )
     p_check.add_argument("--interior", action="store_true", help="interior criterion")
     p_check.add_argument(
-        "--oracle-samples", type=int, default=None, metavar="N",
+        "--oracle-samples", type=_positive_int, default=None, metavar="N",
         help="sample N chain averages and test containment",
     )
     p_check.add_argument("--seed", type=int, default=1)

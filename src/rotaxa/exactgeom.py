@@ -4,16 +4,25 @@ Vectors are plain tuples of ``fractions.Fraction`` (a class in the first
 homology of a genus-``g`` surface is a point of Q^{2g}).  Polytopes are kept
 in V-representation only: a canonical, lexicographically sorted tuple of
 irredundant vertices, so structural equality of two polytopes is the same
-thing as geometric equality.  All decision procedures (membership, extreme
-points, segment coverage, span containment) reduce to exact rational linear
-programs or exact rank computations; no tolerances exist anywhere.
+thing as geometric equality.  No tolerances exist anywhere: every decision
+is exact.
+
+A polytope whose vertices are affinely independent (a simplex, which every
+chain polytope and block of the fixtures is) answers membership and segment
+queries from a :class:`SimplexKernel`: integer rows, eliminated once per
+polytope and cached on it, that give barycentric coordinates and the affine
+hull equations, so each query is a handful of integer dot products.  Other
+polytopes answer them by exact rational linear programs.  Extreme points are
+always LP-certified, and span containment is an exact rank computation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError
@@ -88,6 +97,109 @@ class RationalPolytope:
                     f"vertex of length {len(v)} in ambient dimension {self.dim}"
                 )
 
+    @cached_property
+    def simplex_kernel(self) -> SimplexKernel | None:
+        """The polytope's :class:`SimplexKernel`, eliminated on first use and
+        kept on this instance; ``None`` unless the vertices are affinely
+        independent."""
+        if len(self.vertices) > self.dim + 1:
+            return None
+        return _simplex_kernel(self.vertices)
+
+
+@dataclass(frozen=True)
+class SimplexKernel:
+    """Integer rows that answer queries against one simplex.
+
+    Both row sets act on ``y = [x * den; den]``, a point ``x`` written over a
+    positive denominator ``den``.  The ``affine`` rows all vanish on ``y``
+    exactly when ``x`` lies in the simplex's affine hull; there, barycentric
+    row ``i`` gives a positive multiple of ``x``'s ``i``-th barycentric
+    coordinate.  So ``x`` is in the simplex iff every ``affine`` row gives 0
+    and every ``barycentric`` row gives a value ``>= 0``.
+    """
+
+    barycentric: tuple[tuple[int, ...], ...]
+    affine: tuple[tuple[int, ...], ...]
+
+    def contains(self, x: Vector) -> bool:
+        nums, den = _scaled(x)
+        y = nums + (den,)
+        return all(_dot(row, y) == 0 for row in self.affine) and all(
+            _dot(row, y) >= 0 for row in self.barycentric
+        )
+
+    def segment_interval(
+        self, a: Vector, b: Vector
+    ) -> tuple[Fraction, Fraction] | None:
+        """``{t in [0,1] : a + t(b-a) in simplex}`` by one ratio test."""
+        nums, den = _scaled(a + b)
+        dim = len(a)
+        start = nums[:dim] + (den,)
+        step = tuple(q - p for p, q in zip(nums[:dim], nums[dim:])) + (0,)
+        low, high = _ZERO, _ONE
+        for row in self.affine:
+            at, slope = _dot(row, start), _dot(row, step)
+            if slope:
+                # The line crosses the hull equation at one parameter only.
+                t = Fraction(-at, slope)
+                low, high = max(low, t), min(high, t)
+            elif at:
+                return None
+        for row in self.barycentric:
+            at, slope = _dot(row, start), _dot(row, step)
+            if slope > 0:
+                low = max(low, Fraction(-at, slope))
+            elif slope < 0:
+                high = min(high, Fraction(-at, slope))
+            elif at < 0:
+                return None
+        return (low, high) if low <= high else None
+
+
+def _dot(row: Sequence[int], y: Sequence[int]) -> int:
+    return sum(map(mul, row, y))
+
+
+def _simplex_kernel(vertices: Sequence[Vector]) -> SimplexKernel | None:
+    """Eliminate ``A = [v_0 ... v_k; 1 ... 1]`` once, or ``None`` when the
+    vertices are affinely dependent.
+
+    Integer Gauss-Jordan on ``[S A | S]``, with ``S`` the positive diagonal
+    that clears each row's denominators, gives an invertible ``E`` with
+    ``E A = [D; 0]`` for a diagonal ``D`` without zeros.  Row ``i < k + 1`` of
+    ``E``, times the sign of ``D[i][i]``, maps ``[x; 1]`` to a positive
+    multiple of the ``i``-th barycentric coordinate; the other rows vanish
+    exactly on the column space of ``A``, whose points ``[x; 1]`` are those
+    of the affine hull.
+    """
+    cols = len(vertices)
+    size = len(vertices[0]) + 1
+    rows = []
+    for i in range(size):
+        entries = [v[i] for v in vertices] if i < size - 1 else [_ONE] * cols
+        nums, scale = _scaled(entries)
+        rows.append(list(nums) + [scale if j == i else 0 for j in range(size)])
+    for col in range(cols):
+        pivot = next((r for r in range(col, size) if rows[r][col]), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        top = rows[col]
+        lead = top[col]
+        for r in range(size):
+            factor = rows[r][col]
+            if r != col and factor:
+                row = [lead * value - factor * t for value, t in zip(rows[r], top)]
+                g = gcd(*row)
+                rows[r] = [value // g for value in row]
+    functionals = []
+    for i, row in enumerate(rows):
+        sign = -1 if i < cols and row[i] < 0 else 1
+        g = gcd(*row[cols:]) * sign
+        functionals.append(tuple(value // g for value in row[cols:]))
+    return SimplexKernel(tuple(functionals[:cols]), tuple(functionals[cols:]))
+
 
 @dataclass(frozen=True)
 class SubspaceBasis:
@@ -150,12 +262,16 @@ def hull_membership(
 
 
 def contains_point(polytope: RationalPolytope, x: Vector) -> bool:
-    """Exact membership of ``x`` in the polytope (feasibility LP)."""
+    """Exact membership of ``x`` in the polytope: sign tests on a simplex,
+    a feasibility LP otherwise."""
     if len(x) != polytope.dim:
         raise DimensionMismatchError(
             f"point of length {len(x)} against polytope of dimension {polytope.dim}"
         )
-    return hull_membership(polytope.vertices, x)[0]
+    kernel = polytope.simplex_kernel
+    if kernel is None:
+        return hull_membership(polytope.vertices, x)[0]
+    return kernel.contains(x)
 
 
 def extreme_points(points: Iterable[Vector]) -> RationalPolytope:
@@ -270,11 +386,22 @@ def segment_interval(
 ) -> tuple[Fraction, Fraction] | None:
     """The exact parameter set ``{t in [0,1] : a + t(b-a) in P}``.
 
-    The set is a closed rational interval or empty; the endpoints come from
-    one minimizing and one maximizing LP over the joint (weights, t) system.
+    The set is a closed rational interval or empty.  A simplex reads it off
+    its kernel by one ratio test; any other polytope solves two LPs.
     """
     if len(a) != polytope.dim or len(b) != polytope.dim:
         raise DimensionMismatchError("segment endpoints do not match the polytope")
+    kernel = polytope.simplex_kernel
+    if kernel is None:
+        return _segment_interval_lp(polytope, a, b)
+    return kernel.segment_interval(a, b)
+
+
+def _segment_interval_lp(
+    polytope: RationalPolytope, a: Vector, b: Vector
+) -> tuple[Fraction, Fraction] | None:
+    """:func:`segment_interval` by one minimizing and one maximizing LP over
+    the joint (weights, t) system; valid for every polytope."""
     verts = polytope.vertices
     n = len(verts)
     direction = vector_sub(b, a)

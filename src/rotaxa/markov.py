@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import InadmissibleWordError, ResourceCapError
 from .exactgeom import (
@@ -55,6 +55,15 @@ class MarkovGraph:
 
     def displacements(self) -> dict[str, Vector]:
         return {name: disp for name, disp in self.nodes}
+
+    def integer_displacements(self) -> tuple[int, dict[str, tuple[int, ...]]]:
+        """The displacements' common denominator ``den`` and each node's
+        displacement times ``den``, as integers."""
+        den = lcm(*{c.denominator for _, disp in self.nodes for c in disp})
+        return den, {
+            name: tuple(c.numerator * (den // c.denominator) for c in disp)
+            for name, disp in self.nodes
+        }
 
     def successors(self) -> dict[str, list[str]]:
         succ: dict[str, list[str]] = {name: [] for name, _ in self.nodes}
@@ -186,14 +195,17 @@ def validate_piece(piece: BasicPieceModel) -> list[str]:
     return out
 
 
-def word_rotation_vector(piece: BasicPieceModel, word: PeriodicWord) -> Vector:
-    """Average displacement along one period of a cyclic word."""
+def check_admissible(
+    word: PeriodicWord,
+    nodes: Collection[str],
+    edges: Collection[tuple[str, str]],
+) -> None:
+    """Raise :class:`InadmissibleWordError` unless ``word`` is a non-empty
+    cyclic word over ``nodes`` whose every transition is one of ``edges``."""
     if not word:
         raise InadmissibleWordError("empty periodic word")
-    displacements = piece.graph.displacements()
-    edges = set(piece.graph.edges)
     for node in word:
-        if node not in displacements:
+        if node not in nodes:
             raise InadmissibleWordError(f"word visits unknown node {node!r}")
     for i, node in enumerate(word):
         succ = word[(i + 1) % len(word)]
@@ -201,6 +213,12 @@ def word_rotation_vector(piece: BasicPieceModel, word: PeriodicWord) -> Vector:
             raise InadmissibleWordError(
                 f"transition {node!r} -> {succ!r} is not an edge"
             )
+
+
+def word_rotation_vector(piece: BasicPieceModel, word: PeriodicWord) -> Vector:
+    """Average displacement along one period of a cyclic word."""
+    displacements = piece.graph.displacements()
+    check_admissible(word, displacements, set(piece.graph.edges))
     total = zero_vector(len(next(iter(displacements.values()))))
     for node in word:
         total = vector_add(total, displacements[node])
@@ -325,15 +343,10 @@ def piece_rotation_set(
     piece: BasicPieceModel, cycle_cap: int = DEFAULT_CYCLE_CAP
 ) -> RationalPolytope:
     """Rotation polytope of the piece: hull of simple-cycle mean displacements."""
-    displacements = piece.graph.displacements()
     # Sum cycles as integer vectors over the displacements' common
     # denominator.  Equal means share one gcd-reduced (total, length) key,
     # so only one Fraction vector is built per distinct mean.
-    den = lcm(*{c.denominator for disp in displacements.values() for c in disp})
-    ints = {
-        name: tuple(c.numerator * (den // c.denominator) for c in disp)
-        for name, disp in displacements.items()
-    }
+    den, ints = piece.graph.integer_displacements()
     sums = {
         (tuple(map(sum, zip(*map(ints.__getitem__, cycle)))), len(cycle))
         for cycle in simple_cycles(piece.graph, cap=cycle_cap)

@@ -20,19 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from .errors import ResourceCapError
-from .exactgeom import (
-    RationalPolytope,
-    Vector,
-    extreme_points,
-    vector_add,
-    vector_scale,
-    zero_vector,
-)
+from .exactgeom import RationalPolytope, Vector, extreme_points
 from .heteroclinic import Chain
-from .markov import BasicPieceModel, word_rotation_vector
+from .markov import BasicPieceModel, check_admissible
 
 LCG_MULTIPLIER = 6364136223846793005
 LCG_INCREMENT = 1442695040888963407
@@ -125,8 +119,16 @@ def random_periodic_word(
     piece: BasicPieceModel, rng: Lcg64
 ) -> tuple[str, ...]:
     """A random closed walk in the piece graph, via first-revisit extraction."""
-    succ = piece.graph.successors()
-    nodes = sorted(piece.graph.node_ids)
+    return _closed_walk(
+        sorted(piece.graph.node_ids), piece.graph.successors(), rng
+    )
+
+
+def _closed_walk(
+    nodes: Sequence[str], succ: Mapping[str, Sequence[str]], rng: Lcg64
+) -> tuple[str, ...]:
+    """Walk from a random node along random successors until a node repeats;
+    the walk's loop from that node's first visit is the word."""
     walk = [rng.choice(nodes)]
     positions = {walk[0]: 0}
     while True:
@@ -139,6 +141,11 @@ def random_periodic_word(
 
 def convex_weights(count: int, rng: Lcg64) -> list[Fraction]:
     """Random convex weights with denominator dividing WEIGHT_DENOMINATOR."""
+    return [Fraction(p, WEIGHT_DENOMINATOR) for p in _weight_parts(count, rng)]
+
+
+def _weight_parts(count: int, rng: Lcg64) -> list[int]:
+    """The numerators of :func:`convex_weights` over WEIGHT_DENOMINATOR."""
     remaining = WEIGHT_DENOMINATOR
     parts = []
     for _ in range(count - 1):
@@ -146,7 +153,7 @@ def convex_weights(count: int, rng: Lcg64) -> list[Fraction]:
         parts.append(cut)
         remaining -= cut
     parts.append(remaining)
-    return [Fraction(p, WEIGHT_DENOMINATOR) for p in parts]
+    return parts
 
 
 def sample_chain_averages(
@@ -161,19 +168,39 @@ def sample_chain_averages(
     then forms the weighted combination of the word means.  These are exactly
     the asymptotic averages realized along the chain, hence must belong to
     the chain's rotation polytope.
+
+    The walk tables of each member are built once per call, and each sample
+    is summed in integers over one common denominator; the draws and values
+    are those of :func:`convex_weights`, :func:`random_periodic_word` and
+    :func:`~rotaxa.markov.word_rotation_vector`.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
     rng = Lcg64(seed)
-    members = [pieces[name] for name in chain]
-    dim = len(members[0].graph.nodes[0][1])
+    tables = []
+    for name in chain:
+        graph = pieces[name].graph
+        den, ints = graph.integer_displacements()
+        tables.append(
+            (sorted(graph.node_ids), graph.successors(), set(graph.edges), ints, den)
+        )
+    dim = len(pieces[chain[0]].graph.nodes[0][1])
     out: list[Vector] = []
     for _ in range(samples):
-        weights = convex_weights(len(members), rng)
-        value = zero_vector(dim)
-        for weight, piece in zip(weights, members):
-            word = random_periodic_word(piece, rng)
-            mean = word_rotation_vector(piece, word)
-            value = vector_add(value, vector_scale(mean, weight))
-        out.append(value)
+        # Member j adds part_j * total_j / (WEIGHT_DENOMINATOR * scale_j),
+        # where scale_j is its word length times its displacement denominator.
+        terms = []
+        for part, (nodes, succ, edges, ints, den) in zip(
+            _weight_parts(len(tables), rng), tables
+        ):
+            word = _closed_walk(nodes, succ, rng)
+            check_admissible(word, ints, edges)
+            total = [sum(column) for column in zip(*map(ints.__getitem__, word))]
+            terms.append((part, total, len(word) * den))
+        common = lcm(*(scale for _, _, scale in terms))
+        value = [0] * dim
+        for part, total, scale in terms:
+            factor = part * (common // scale)
+            value = [v + factor * t for v, t in zip(value, total)]
+        out.append(tuple(Fraction(v, WEIGHT_DENOMINATOR * common) for v in value))
     return out

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -17,6 +18,7 @@ from rotaxa.analysis import (
     classify_chain,
     convexity_probe,
     interior_check,
+    probe_points,
     star_shape_check,
 )
 from rotaxa.engine import compute, run_checks
@@ -136,6 +138,33 @@ class TestConvexityProbe:
             [outcome] = run_checks(compute(model), convex_density=4)
             assert outcome.name == "block_union_convexity"
             assert outcome.passed
+
+    @pytest.mark.parametrize("density", [1, 2, 3, 4])
+    def test_probe_points_equal_rational_grid(self, density):
+        # Reference: every vertex, every pairwise midpoint and every
+        # barycentric combination with weights over 1..density, summed as
+        # Fractions, then sorted.
+        hulls = [
+            extreme_points([V(0, 0), V("1/2", 0), V(0, "1/3")]),
+            extreme_points(
+                [V(-1, "2/3", 0), V("5/4", 1, -2), V(0, 0, "1/6"), V(2, 2, 2)]
+            ),
+            extreme_points(
+                [V(0, 0, 0, 0), V(1, 0, 0, 0), V(0, 1, 0, 0), V(0, 0, 1, 1)]
+            ),
+        ]
+        for hull in hulls:
+            verts = hull.vertices
+            expected = set(verts)
+            expected.update(midpoint(u, v) for u, v in combinations(verts, 2))
+            for den in range(1, density + 1):
+                for weights in product(range(den + 1), repeat=len(verts)):
+                    if sum(weights) == den:
+                        expected.add(tuple(
+                            sum(Fraction(w, den) * v[k] for w, v in zip(weights, verts))
+                            for k in range(hull.dim)
+                        ))
+            assert probe_points(hull, density) == sorted(expected)
 
     def test_density_validation(self, triangle):
         with pytest.raises(ValueError):

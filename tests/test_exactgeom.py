@@ -6,24 +6,32 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import V, brute_extreme_2d, brute_membership_2d
+from rotaxa import exactgeom
+from rotaxa.engine import compute, run_checks
 from rotaxa.errors import DimensionMismatchError
 from rotaxa.exactgeom import (
     RationalPolytope,
     SubspaceBasis,
+    _segment_interval_lp,
     affine_dim,
     as_vector,
     contains_point,
     extreme_points,
+    hull_membership,
     in_span,
     rank_of,
     segment_covered,
+    segment_interval,
     segment_uncovered_gap,
+    vector_add,
     vector_scale,
+    vector_sub,
 )
+from rotaxa.fixtures import exp_family, genus2_full
 
 rationals = st.fractions(
     min_value=-9, max_value=9, max_denominator=9
@@ -141,6 +149,105 @@ class TestMembership:
                 Fraction(rng.randint(-6, 6), 2), Fraction(rng.randint(-6, 6), 2)
             )
             assert contains_point(poly, probe) == brute_membership_2d(points, probe)
+
+
+def independent_points(candidates):
+    """Greedily keep the candidates that raise the affine rank."""
+    kept = []
+    for p in candidates:
+        diffs = [vector_sub(q, kept[0]) for q in kept[1:] + [p]] if kept else []
+        if rank_of(diffs) == len(diffs):
+            kept.append(p)
+    return kept
+
+
+@st.composite
+def simplex_queries(draw, dim, k):
+    """A random rational simplex of affine dimension k in Q^dim, and query
+    points: vertices, convex and affine combinations, points off the affine
+    hull, random points, and reflections through a vertex."""
+    raw = draw(st.lists(vectors(dim), min_size=1, max_size=k + 1))
+    raw = [as_vector(p) for p in raw]
+    # Unit steps from the first point fill the simplex up to dimension k.
+    units = [
+        vector_add(raw[0], tuple(Fraction(int(i == j)) for i in range(dim)))
+        for j in range(dim)
+    ]
+    verts = independent_points(raw + units)[: k + 1]
+    weights = st.lists(st.integers(-2, 4), min_size=k + 1, max_size=k + 1)
+    queries = list(verts)
+    for ws in draw(st.lists(weights, min_size=2, max_size=4)):
+        if sum(ws) == 0:
+            ws[0] += 1
+        total = sum(ws)
+        queries.append(
+            tuple(
+                sum(Fraction(w, total) * v[c] for w, v in zip(ws, verts))
+                for c in range(dim)
+            )
+        )
+    queries.append(vector_add(queries[-1], draw(vectors(dim))))
+    queries.append(as_vector(draw(vectors(dim))))
+    vertex = verts[draw(st.integers(0, k))]
+    queries.append(vector_sub(vector_scale(vertex, 2), queries[-1]))
+    return verts, queries
+
+
+class TestSimplexKernel:
+    """Barycentric sign tests and ratio tests against the LP path."""
+
+    @pytest.mark.parametrize(
+        "dim, k", [(dim, k) for dim in range(1, 5) for k in range(dim + 1)]
+    )
+    @settings(max_examples=12)
+    @given(data=st.data())
+    def test_agrees_with_lp(self, dim, k, data):
+        verts, queries = data.draw(simplex_queries(dim, k))
+        poly = extreme_points(verts)
+        assert len(poly.vertices) == len(verts)
+        assert poly.simplex_kernel is not None
+        for x in queries:
+            assert contains_point(poly, x) == hull_membership(poly.vertices, x)[0]
+        for a in queries:
+            for b in queries:
+                assert segment_interval(poly, a, b) == _segment_interval_lp(
+                    poly, a, b
+                )
+
+    def test_kernel_is_built_once(self, triangle):
+        assert triangle.simplex_kernel is triangle.simplex_kernel
+
+    def test_affinely_dependent_vertices_get_no_kernel(self):
+        flat_square = extreme_points(
+            [V(0, 0, 0), V(1, 0, 0), V(0, 1, 0), V(1, 1, 0)]
+        )
+        assert len(flat_square.vertices) == 4
+        assert flat_square.simplex_kernel is None
+        assert contains_point(flat_square, V("1/2", "1/2", 0))
+        assert segment_interval(flat_square, V(-1, "1/2", 0), V(3, "1/2", 0)) == (
+            Fraction(1, 4), Fraction(1, 2)
+        )
+        square = extreme_points([V(0, 0), V(1, 0), V(0, 1), V(1, 1)])
+        assert square.simplex_kernel is None
+
+    def test_checks_on_simplices_solve_no_lp(self, monkeypatch):
+        # Every chain polytope and block of these fixtures is a simplex, so
+        # after compute no check may fall back to the LP.
+        family = compute(exp_family(3))
+        full = compute(genus2_full())
+        calls = []
+        solve_lp = exactgeom.solve_lp
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve_lp(*args, **kwargs)
+
+        monkeypatch.setattr(exactgeom, "solve_lp", counted)
+        outcomes = run_checks(family, oracle_samples=1000) + run_checks(
+            full, star=True, subspace=True, interior=True
+        )
+        assert all(outcome.passed for outcome in outcomes)
+        assert len(calls) == 0
 
 
 class TestAffineDim:

@@ -11,7 +11,7 @@ from conftest import V
 from rotaxa.engine import compute
 from rotaxa.errors import ResourceCapError
 from rotaxa.exactgeom import contains_point
-from rotaxa.fixtures import genus2_full
+from rotaxa.fixtures import genus2_full, get_fixture
 from rotaxa.markov import (
     CURVED,
     BasicPieceModel,
@@ -146,6 +146,30 @@ class TestSampling:
             not contains_point(h1, s) and not contains_point(h2, s)
             for s in samples
         )
+
+    @pytest.mark.parametrize(
+        "fixture",
+        ["genus2_nonconvex", "genus2_full", "genus2_blocks", "exp_family(2)",
+         "exp_family(3)"],
+    )
+    def test_values_equal_word_by_word_reference(self, fixture):
+        # The reference draws the same LCG values through the public helpers
+        # and sums the word means as Fractions.
+        computation = compute(get_fixture(fixture))
+        table = computation.model.pieces_by_id()
+        for data in computation.chains:
+            for seed in (1, 7, 2026):
+                rng = Lcg64(seed)
+                expected = []
+                for _ in range(40):
+                    value = [Fraction(0)] * data.polytope.dim
+                    weights = convex_weights(len(data.chain), rng)
+                    for weight, name in zip(weights, data.chain):
+                        word = random_periodic_word(table[name], rng)
+                        mean = word_rotation_vector(table[name], word)
+                        value = [v + weight * m for v, m in zip(value, mean)]
+                    expected.append(tuple(value))
+                assert sample_chain_averages(data.chain, table, 40, seed) == expected
 
     def test_determinism(self):
         piece = curved(KWAPISZ_NODES, KWAPISZ_EDGES)

@@ -329,6 +329,23 @@ class TestCli:
         assert check["name"] == "chain_sampling"
         assert check["info"]["samples"] == 64
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--convex-density", "-1"),
+            ("--convex-density", "0"),
+            ("--oracle-samples", "0"),
+            ("--oracle-samples", "-5"),
+        ],
+    )
+    def test_integer_flag_below_one_exit_code(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "genus2_full", flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: must be at least 1, got {value}" in captured.err
+
     def test_resource_cap_exit_code(self, capsys, monkeypatch):
         from rotaxa import engine
         from rotaxa.errors import ResourceCapError
