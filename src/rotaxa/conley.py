@@ -116,11 +116,15 @@ def validate_decomposition(model: "ModelDocument") -> list[str]:
         if sub.kind not in SUBSURFACE_KINDS:
             out.append(f"subsurface {sub.id!r} has unknown kind {sub.kind!r}")
             continue
+        ragged = False
         for v in sub.subspace.basis:
             if len(v) != 2 * genus:
+                ragged = True
                 out.append(
                     f"subsurface {sub.id!r} basis vector of length {len(v)}, expected {2 * genus}"
                 )
+        if ragged:
+            continue
         rank = rank_of(sub.subspace.basis)
         if rank != len(sub.subspace.basis):
             out.append(f"subsurface {sub.id!r} basis is linearly dependent")

@@ -1,12 +1,14 @@
 """Computation pipeline: validate, compute chains and blocks, run checks.
 
-:func:`compute` builds every piece polytope and every maximal chain's
-polytope and marked supports once, validates the model against them, and
-assembles the convex blocks from them.  The :class:`Computation` it returns
-is the complete, deterministic answer for a model.  Each check reads it
-without recomputing anything and returns a :class:`CheckOutcome`, plain data
-that the command line (or a test) can render; :func:`run_checks` calls only
-the checks requested.
+:func:`compute` alone decides whether a model is valid, and
+:func:`validate` reports its verdict.  The static checks come first; then
+every piece polytope and every maximal chain's polytope and marked supports
+are built once, the trivial-piece, direct-sum and origin checks run on
+them, and the convex blocks are assembled from them.  The
+:class:`Computation` it returns is the complete, deterministic answer for a
+model.  Each check reads it without recomputing anything and returns a
+:class:`CheckOutcome`, plain data that the command line (or a test) can
+render; :func:`run_checks` calls only the checks requested.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from .conley import (
     enumerate_blocks,
     support_span,
 )
-from .errors import ModelValidationError, ResourceCapError
-from .exactgeom import RationalPolytope, contains_point, in_span, rank_of
+from .errors import ModelValidationError
+from .exactgeom import RationalPolytope, contains_point, vertex_outside_span
 from .heteroclinic import Chain, chain_rotation_set, maximal_nontrivial_chains
 from .markov import rotation_sets
 from .model import ModelDocument, validate_model, validate_rotation_data
@@ -50,55 +52,45 @@ class CheckOutcome:
     info: dict = field(default_factory=dict)
 
 
-def _rotation_data(
-    model: ModelDocument,
-) -> tuple[dict[str, RationalPolytope], dict[Chain, RationalPolytope]]:
-    """Each piece's polytope, and each maximal non-trivial chain's."""
+def validate(model: ModelDocument) -> tuple[list[str], list[str]]:
+    """The verdict of :func:`compute` on the model: its violations and
+    warnings.  A resource cap met on the way propagates."""
+    try:
+        computation = compute(model)
+    except ModelValidationError as exc:
+        return exc.violations, exc.warnings
+    return [], list(computation.warnings)
+
+
+def compute(model: ModelDocument) -> Computation:
+    """Validate the model and compute its chains and blocks.  A
+    :class:`ModelValidationError` carries the warnings gathered before it."""
+    violations, warnings = validate_model(model)
+    if violations:
+        raise ModelValidationError(violations, warnings)
     table = model.pieces_by_id()
     piece_sets = rotation_sets(table)
     chain_sets = {
         chain: chain_rotation_set(chain, table, piece_sets=piece_sets)
         for chain in maximal_nontrivial_chains(model.heteroclinic, table)
     }
-    return piece_sets, chain_sets
-
-
-def validate(model: ModelDocument) -> tuple[list[str], list[str]]:
-    """Every violation and warning of the model.
-
-    The rotation-dependent checks run only when the static ones pass; a
-    resource cap met while building their data skips them with a warning.
-    """
-    violations, warnings = validate_model(model)
+    violations, more = validate_rotation_data(model, piece_sets, chain_sets)
+    warnings += more
     if violations:
-        return violations, warnings
+        raise ModelValidationError(violations, warnings)
     try:
-        piece_sets, chain_sets = _rotation_data(model)
-    except ResourceCapError as exc:
-        return violations, warnings + [f"skipped rotation-dependent validation: {exc}"]
-    violations, more = validate_rotation_data(model, piece_sets, chain_sets)
-    return violations, warnings + more
-
-
-def compute(model: ModelDocument) -> Computation:
-    """Validate the model and compute its chains and blocks."""
-    violations, warnings = validate_model(model)
-    if violations:
-        raise ModelValidationError(violations)
-    piece_sets, chain_sets = _rotation_data(model)
-    violations, more = validate_rotation_data(model, piece_sets, chain_sets)
-    if violations:
-        raise ModelValidationError(violations)
-    chains = tuple(
-        ChainData(chain, polytope, tuple(chain_marked_support(chain, model)))
-        for chain, polytope in chain_sets.items()
-    )
+        chains = tuple(
+            ChainData(chain, polytope, tuple(chain_marked_support(chain, model)))
+            for chain, polytope in chain_sets.items()
+        )
+    except ModelValidationError as exc:
+        raise ModelValidationError(exc.violations, warnings) from None
     return Computation(
         model=model,
         piece_sets=piece_sets,
         chains=chains,
         blocks=tuple(enumerate_blocks(chains)),
-        warnings=tuple(warnings + more),
+        warnings=tuple(warnings),
     )
 
 
@@ -200,16 +192,14 @@ def _subspace_containment(computation: Computation) -> CheckOutcome:
     """Each block lies in the span of its support's subspaces."""
     issues: list[str] = []
     for block in computation.blocks:
-        span = support_span(block.key, computation.model)
-        if in_span(span, block.polytope):
-            continue
-        for v in block.polytope.vertices:
-            if rank_of(list(span.basis) + [v]) != rank_of(span.basis):
-                issues.append(
-                    f"block {block.key.label()}: vertex "
-                    f"{tuple(str(c) for c in v)} outside the support span"
-                )
-                break
+        v = vertex_outside_span(
+            support_span(block.key, computation.model), block.polytope
+        )
+        if v is not None:
+            issues.append(
+                f"block {block.key.label()}: vertex "
+                f"{tuple(str(c) for c in v)} outside the support span"
+            )
     return CheckOutcome("subspace_containment", not issues, tuple(issues))
 
 

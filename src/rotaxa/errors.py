@@ -24,12 +24,14 @@ class ModelValidationError(EngineError):
     """A structurally parseable model violates invariants.
 
     ``violations`` lists every failure, each prefixed with a JSON-pointer
-    style location where one is available.
+    style location where one is available; ``warnings`` holds the soft
+    warnings gathered before the error was raised.
     """
 
-    def __init__(self, violations: list[str]):
+    def __init__(self, violations: list[str], warnings: list[str] | None = None):
         super().__init__("; ".join(violations))
         self.violations = violations
+        self.warnings = warnings or []
 
 
 class InadmissibleWordError(EngineError):

@@ -207,10 +207,6 @@ class SubspaceBasis:
 
     basis: tuple[Vector, ...]
 
-    @property
-    def rank(self) -> int:
-        return rank_of(self.basis)
-
 
 def _check_uniform(points: Sequence[Vector]) -> int:
     dim = len(points[0])
@@ -368,8 +364,10 @@ def rank_of(vectors: Iterable[Vector]) -> int:
     return rank
 
 
-def in_span(subspace: SubspaceBasis, polytope: RationalPolytope) -> bool:
-    """True iff every vertex lies in the rational span of the basis."""
+def vertex_outside_span(
+    subspace: SubspaceBasis, polytope: RationalPolytope
+) -> Vector | None:
+    """The first vertex outside the rational span of the basis, or None."""
     if subspace.basis and len(subspace.basis[0]) != polytope.dim:
         raise DimensionMismatchError(
             f"basis of length {len(subspace.basis[0])} against dimension {polytope.dim}"
@@ -377,8 +375,13 @@ def in_span(subspace: SubspaceBasis, polytope: RationalPolytope) -> bool:
     base_rank = rank_of(subspace.basis)
     for v in polytope.vertices:
         if rank_of(list(subspace.basis) + [v]) != base_rank:
-            return False
-    return True
+            return v
+    return None
+
+
+def in_span(subspace: SubspaceBasis, polytope: RationalPolytope) -> bool:
+    """True iff every vertex lies in the rational span of the basis."""
+    return vertex_outside_span(subspace, polytope) is None
 
 
 def segment_interval(

@@ -74,13 +74,6 @@ class MarkovGraph:
             outs.sort()
         return succ
 
-    def predecessors(self) -> dict[str, list[str]]:
-        pred: dict[str, list[str]] = {name: [] for name, _ in self.nodes}
-        for u, v in self.edges:
-            if v in pred:
-                pred[v].append(u)
-        return pred
-
 
 @dataclass(frozen=True)
 class BasicPieceModel:
@@ -109,31 +102,11 @@ def graph_from_edges(
     return MarkovGraph(nodes=node_list, edges=tuple(sorted(set(edges))))
 
 
-def is_strongly_connected(graph: MarkovGraph) -> bool:
-    ids = graph.node_ids
-    if not ids:
-        return False
-    succ = graph.successors()
-    pred = graph.predecessors()
-    for neighbors in (succ, pred):
-        seen = {ids[0]}
-        frontier = [ids[0]]
-        while frontier:
-            u = frontier.pop()
-            for v in neighbors[u]:
-                if v not in seen:
-                    seen.add(v)
-                    frontier.append(v)
-        if len(seen) != len(ids):
-            return False
-    return True
-
-
 def validate_piece(piece: BasicPieceModel) -> list[str]:
     """All invariant violations of the piece; an empty list means valid.
 
     Violations are data, not exceptions: each entry names the broken
-    invariant and the offending element.
+    invariant and the offending element.  No rotation set is computed here.
     """
     out: list[str] = []
     if piece.classification not in CLASSIFICATIONS:
@@ -173,25 +146,17 @@ def validate_piece(piece: BasicPieceModel) -> list[str]:
             out.append(f"edge ({u!r}, {v!r}) references a missing node")
             return out
     succ = graph.successors()
-    pred = graph.predecessors()
+    targets = {v for _, v in graph.edges}
     for name in ids:
         if not succ[name]:
             out.append(f"node {name!r} has no outgoing edge")
-        if not pred[name]:
+        if name not in targets:
             out.append(f"node {name!r} has no incoming edge")
     if out:
         return out
-    if not is_strongly_connected(graph):
+    components = _cyclic_components(set(ids), succ)
+    if len(components) != 1 or len(components[0]) != len(ids):
         out.append("not strongly connected")
-        return out
-    if piece.classification == TRIVIAL:
-        try:
-            rotation = piece_rotation_set(piece)
-        except ResourceCapError:
-            out.append("trivial piece too large to verify singleton rotation set")
-        else:
-            if len(rotation.vertices) != 1:
-                out.append("trivial piece with non-singleton rotation set")
     return out
 
 
@@ -263,7 +228,8 @@ def simple_cycles(
                     cycles.append(tuple(path))
                     if len(cycles) > cap:
                         raise ResourceCapError(
-                            f"more than {cap} simple cycles; raise the cap"
+                            f"simple_cycles: more than {cap} simple cycles "
+                            f"({len(cycles)} enumerated)"
                         )
                     frame[2] = True
                 elif w not in blocked:

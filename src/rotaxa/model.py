@@ -3,12 +3,13 @@
 A model document bundles the genus, the basic pieces with their symbolic
 graphs, the heteroclinic relation, and the essential decomposition.
 Validation comes in two parts, both returning violations and warnings as
-data.  :func:`validate_model` runs every per-component invariant plus the
-static cross-cutting ones (vector lengths against the genus, assignment
+data, which :func:`rotaxa.engine.compute` runs in order.
+:func:`validate_model` runs first: every static per-component invariant
+plus the cross-cutting ones (vector lengths against the genus, assignment
 coverage).  :func:`validate_rotation_data` takes the piece and chain
-polytopes that :func:`rotaxa.engine.compute` builds and checks the direct
-sums of annulus subspaces that share a chain and the soft sanity checks on
-rotation data.
+polytopes that ``compute`` builds and checks on them the trivial pieces'
+singleton rotation sets, the direct sums of annulus subspaces that share a
+chain, and the soft trivial-piece and origin warnings.
 """
 
 from __future__ import annotations
@@ -94,8 +95,8 @@ def validate_rotation_data(
 
     ``piece_sets`` holds each piece's polytope and ``chain_sets`` each
     maximal non-trivial chain's: annulus subspaces along a chain must be in
-    direct sum, and a trivial piece or the origin outside every chain set
-    is suspicious.
+    direct sum, a trivial piece must rotate as a single point, and a
+    trivial piece or the origin outside every chain set is suspicious.
     """
     violations: list[str] = []
     warnings: list[str] = []
@@ -118,29 +119,32 @@ def validate_rotation_data(
                 + f" (chain {'<'.join(chain)}) are not in direct sum"
             )
 
-    for piece in model.pieces:
+    for index, piece in enumerate(model.pieces):
         if piece.classification != TRIVIAL:
             continue
-        point = piece_sets[piece.id].vertices[0]
-        if chain_sets and not any(
-            contains_point(cs, point) for cs in chain_sets.values()
+        vertices = piece_sets[piece.id].vertices
+        if len(vertices) != 1:
+            violations.append(
+                f"/pieces/{index} ({piece.id}): trivial piece with "
+                "non-singleton rotation set"
+            )
+        elif chain_sets and not any(
+            contains_point(cs, vertices[0]) for cs in chain_sets.values()
         ):
             warnings.append(
                 f"trivial piece {piece.id!r} rotates outside every chain set"
             )
 
     zero = zero_vector(model.dim)
-    if any(contains_point(ps, zero) for ps in piece_sets.values()):
-        if chain_sets and not any(
-            contains_point(cs, zero) for cs in chain_sets.values()
-        ):  # pragma: no cover - implied by chain coverage of pieces
-            warnings.append("origin lies in a piece but in no chain set")
-    elif chain_sets and not any(
+    if chain_sets and not any(
         contains_point(cs, zero) for cs in chain_sets.values()
     ):
-        warnings.append(
-            "origin missing from the global rotation union; a model of a "
-            "genus>1 system should carry an irrotational piece"
-        )
+        if any(contains_point(ps, zero) for ps in piece_sets.values()):
+            warnings.append("origin lies in a piece but in no chain set")
+        else:
+            warnings.append(
+                "origin missing from the global rotation union; a model of a "
+                "genus>1 system should carry an irrotational piece"
+            )
 
     return violations, warnings

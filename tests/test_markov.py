@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import V
+from rotaxa.engine import validate
 from rotaxa.errors import InadmissibleWordError, ResourceCapError
 from rotaxa.exactgeom import extreme_points, vector_scale
+from rotaxa.fixtures import genus2_full
 from rotaxa.markov import (
     ANNULAR,
     CURVED,
@@ -49,15 +52,28 @@ class TestValidatePiece:
 
     def test_trivial_piece_with_spread_rotation(self):
         graph = graph_from_edges(
-            [("a", (0, 0)), ("b", (1, 0))],
+            [("a", (0, 0, 0, 0)), ("b", (1, 0, 0, 0))],
             [("a", "a"), ("b", "b"), ("a", "b"), ("b", "a")],
         )
         piece = BasicPieceModel(id="t", classification=TRIVIAL, graph=graph)
         # Independent check first: the two self-loops already give two
         # distinct cycle means, so the rotation set cannot be a point.
-        means = {V(0, 0), V(1, 0)}
+        means = {V(0, 0, 0, 0), V(1, 0, 0, 0)}
         assert len(extreme_points(means).vertices) == 2
-        assert "trivial piece with non-singleton rotation set" in validate_piece(piece)
+        # The singleton check runs on the polytopes that compute builds.
+        base = genus2_full()
+        model = replace(
+            base,
+            pieces=base.pieces + (piece,),
+            heteroclinic=replace(
+                base.heteroclinic, pieces=base.heteroclinic.pieces + ("t",)
+            ),
+        )
+        violations, _ = validate(model)
+        assert violations == [
+            f"/pieces/{len(base.pieces)} (t): trivial piece with non-singleton "
+            "rotation set"
+        ]
 
     def test_annular_needs_package_and_fill(self):
         graph = graph_from_edges([("a", (0, 0))], [("a", "a")])

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rotaxa.cli import main
 from rotaxa.engine import compute
@@ -119,7 +122,70 @@ MALFORMED_INPUTS = [
         "/pieces/0/graph/nodes: expected an array",
         id="nodes as a number",
     ),
+    pytest.param(
+        ("decomposition", "subsurfaces", 0, "basis"),
+        [["0", "0", "1", "0"], ["0", "0", "1"]],
+        "/decomposition: subsurface 'A1_0' basis vector of length 3, expected 4",
+        id="ragged basis",
+    ),
 ]
+
+
+# Values a fuzzed edit may put anywhere in a document.
+FUZZ_VALUES = [
+    None, True, False, 0, 1, -1, 7, 0.5, -2.25, "", "1/0", "2/4",
+    "L", "R", "attracting", "repelling", "neither",
+    "trivial", "annular", "curved", "annulus", "curved_surface",
+    ["0", "0", "0", "0"], ["1", "0", "0"], ["L", "R"], [], {},
+]
+
+FUZZ_FIXTURES = [
+    "genus2_nonconvex", "genus2_full", "genus2_blocks", "exp_family(1)",
+    "exp_family(2)",
+]
+
+
+def json_locations(value, path=()):
+    """Key paths of every value below the root of a JSON document."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, item in items:
+        yield path + (key,)
+        yield from json_locations(item, path + (key,))
+
+
+@st.composite
+def edited_documents(draw):
+    """A fixture document after one to three edits at random locations:
+    delete a key or item, duplicate an item, or substitute a value."""
+    doc = model_to_dict(get_fixture(draw(st.sampled_from(FUZZ_FIXTURES))))
+    for _ in range(draw(st.integers(1, 3))):
+        where = draw(st.sampled_from(list(json_locations(doc))))
+        parent = doc
+        for key in where[:-1]:
+            parent = parent[key]
+        key = where[-1]
+        edit = draw(st.sampled_from(["delete", "duplicate", "substitute"]))
+        if edit == "delete":
+            del parent[key]
+        elif edit == "duplicate" and isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+        else:
+            parent[key] = copy.deepcopy(draw(st.sampled_from(FUZZ_VALUES)))
+    return doc
+
+
+def missing_marks_document():
+    """exp_family(1) with a repelling L1_0 whose relation edge has no source
+    marks: the chain L1_0 < L1_s needs one."""
+    doc = model_to_dict(exp_family(1))
+    doc["pieces"][0]["fill_behavior"] = "repelling"
+    doc["heteroclinic"]["edges"][0]["source_marks"] = []
+    return doc
 
 
 ALL_FIXTURES = [
@@ -375,6 +441,88 @@ class TestCli:
         assert time.perf_counter() - start < 5.0
         err = capsys.readouterr().err
         assert "maximal_nontrivial_chains: more than 10000 maximal chains" in err
+
+    def test_validate_resource_cap_exit_code(self, capsys, monkeypatch):
+        from rotaxa import engine
+        from rotaxa.errors import ResourceCapError
+
+        def blow_up(table, cycle_cap=None):
+            raise ResourceCapError("synthetic cap for the exit-code path")
+
+        monkeypatch.setattr(engine, "rotation_sets", blow_up)
+        assert main(["validate", "genus2_full"]) == 3
+        assert "resource cap: synthetic cap" in capsys.readouterr().err
+
+    def test_validate_reports_missing_marks(self, tmp_path, capsys):
+        path = tmp_path / "unmarked.json"
+        path.write_text(json.dumps(missing_marks_document()), encoding="utf-8")
+        message = (
+            "annular piece with required mark missing: no source marks on "
+            "relation ('L1_0', 'L1_s')"
+        )
+        assert main(["validate", str(path)]) == 2
+        validated = capsys.readouterr()
+        assert f"violation: {message}" in validated.err
+        assert main(["compute", str(path)]) == 2
+        computed = capsys.readouterr()
+        assert f"invalid model: {message}" in computed.err
+        assert (
+            json.loads(validated.out)["violations"]
+            == json.loads(computed.out)["violations"]
+            == [message]
+        )
+
+    def test_origin_in_piece_but_no_chain_set(self, tmp_path, capsys):
+        # A trivial piece at the origin below a curved piece at (1,0,0,0):
+        # the only chain set is that one point.
+        pieces = [
+            {"id": "T", "classification": "trivial",
+             "graph": one_node_loop(["0", "0", "0", "0"])},
+            {"id": "C", "classification": "curved",
+             "graph": one_node_loop(["1", "0", "0", "0"])},
+        ]
+        path = tmp_path / "offset.json"
+        path.write_text(
+            dumps_canonical(curved_model_document(pieces, [("T", "C")])),
+            encoding="utf-8",
+        )
+        assert main(["validate", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["warnings"] == [
+            "trivial piece 'T' rotates outside every chain set",
+            "origin lies in a piece but in no chain set",
+        ]
+
+    def test_probe_cap_exit_code(self, capsys):
+        # The 11-vertex union hull of exp_family(5) has 75,581 compositions
+        # of denominator at most 8, past the probe cap.
+        start = time.perf_counter()
+        assert main(["check", "exp_family(5)", "--convex-density", "8"]) == 3
+        assert time.perf_counter() - start < 5.0
+        assert (
+            "probe_points: more than 20000 grid compositions "
+            "(75581 at density 8 on 11 vertices)"
+        ) in capsys.readouterr().err
+
+    @settings(
+        max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(doc=edited_documents())
+    def test_fuzzed_documents_validate_as_compute(self, tmp_path, capsys, doc):
+        path = tmp_path / "fuzzed.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        code = main(["validate", str(path)])
+        validated = capsys.readouterr()
+        assert code in (0, 2, 3)
+        assert main(["compute", str(path)]) == code
+        computed = capsys.readouterr()
+        if code == 2 and validated.out:
+            assert (
+                json.loads(validated.out)["violations"]
+                == json.loads(computed.out)["violations"]
+            )
+        elif code == 2:
+            assert validated.err == computed.err
 
     @pytest.mark.parametrize("where, value, message", MALFORMED_INPUTS)
     def test_malformed_input_exit_code(self, tmp_path, capsys, where, value, message):
