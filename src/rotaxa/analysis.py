@@ -28,7 +28,7 @@ from .exactgeom import (
     _scaled,
     affine_dim,
     contains_point,
-    extreme_points,
+    hull_of_union,
     midpoint,
     segment_uncovered_gap,
     zero_vector,
@@ -156,7 +156,9 @@ def probe_points(
     """
     top = max(density, 2)
     parts = len(hull.vertices)
-    count = sum(comb(den + parts - 1, parts - 1) for den in range(1, top + 1))
+    # Compositions of 1..top into ``parts`` parts: sum over den of
+    # C(den + parts - 1, parts - 1), which telescopes to C(top + parts, parts) - 1.
+    count = comb(top + parts, parts) - 1
     if count > PROBE_CAP:
         raise ResourceCapError(
             f"probe_points: more than {PROBE_CAP} grid compositions "
@@ -199,9 +201,7 @@ def convexity_probe(
         raise ValueError("density must be at least 1")
     if not union:
         raise ValueError("empty union")
-    hull = extreme_points(
-        [v for member in union for v in member.vertices]
-    )
+    hull = hull_of_union(union)
     for point in probe_points(hull, density):
         if not any(contains_point(member, point) for member in union):
             return False, point

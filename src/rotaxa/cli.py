@@ -101,6 +101,8 @@ def _resolve_model(token: str) -> ModelDocument:
         raise ModelFormatError(
             f"no such file or fixture: {token!r}"
         ) from None
+    except ValueError as exc:
+        raise ModelFormatError(f"fixture {token!r}: {exc}") from None
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
@@ -208,6 +210,8 @@ def get_fixture_or_fail(name: str) -> ModelDocument:
         return get_fixture(name)
     except KeyError as exc:
         raise ModelFormatError(str(exc)) from None
+    except ValueError as exc:
+        raise ModelFormatError(f"fixture {name!r}: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from .exactgeom import (
     RationalPolytope,
     SubspaceBasis,
     Vector,
-    extreme_points,
+    hull_of_union,
     rank_of,
     zero_vector,
 )
@@ -248,10 +248,9 @@ def chain_marked_support(
 
 
 def coned(polytope: RationalPolytope) -> RationalPolytope:
-    """Hull of the polytope together with the origin."""
-    return extreme_points(
-        set(polytope.vertices) | {zero_vector(polytope.dim)}
-    )
+    """Hull of the polytope together with the origin; the polytope itself
+    when it holds the origin."""
+    return hull_of_union([polytope], [zero_vector(polytope.dim)])
 
 
 def enumerate_blocks(chains: Sequence[ChainData]) -> list[Block]:
@@ -263,13 +262,11 @@ def enumerate_blocks(chains: Sequence[ChainData]) -> list[Block]:
     blocks = []
     for key in sorted(groups, key=MarkedSupport.sort_key):
         members = groups[key]
-        points: set[Vector] = {zero_vector(members[0].polytope.dim)}
-        for data in members:
-            points.update(data.polytope.vertices)
+        polytopes = [data.polytope for data in members]
         blocks.append(
             Block(
                 key=key,
-                polytope=extreme_points(points),
+                polytope=hull_of_union(polytopes, [zero_vector(polytopes[0].dim)]),
                 chains=tuple(data.chain for data in members),
             )
         )

@@ -273,11 +273,24 @@ def contains_point(polytope: RationalPolytope, x: Vector) -> bool:
 def extreme_points(points: Iterable[Vector]) -> RationalPolytope:
     """Irredundant vertex set of the convex hull of ``points``.
 
-    Certificate-driven: each candidate is first tested against a small inner
+    Certificate-driven: the points are decided in lexicographic order, each
+    undecided candidate ``p`` first tested against a small inner
     approximation of the hull; when that test fails, the LP's separating
-    functional either certifies the candidate as extreme outright or
-    discovers a new hull point to grow the approximation.  Every verdict is
-    therefore backed by an exact LP, and the routine is idempotent.
+    functional ``c`` either certifies ``p`` as extreme outright (every other
+    point lies strictly below it) or discovers ``best``, the
+    lexicographically largest maximizer of ``c`` over the other points,
+    which joins the approximation.  ``best`` is decided as a vertex on
+    discovery, with no LP of its own:
+
+    * if ``c . best > c . p``, or they tie and ``best > p``, then ``best`` is
+      the lexicographically largest maximizer of ``c`` over all points, a
+      vertex of the face ``c`` exposes and so of the hull;
+    * if they tie and ``best < p``, ``best`` came earlier in the order and is
+      decided already.  Not as inside the hull: the approximation only grows
+      and ``c`` puts all of it strictly below ``c . p = c . best``.
+
+    The second case rests on the lexicographic order.  Every verdict is
+    backed by an exact LP certificate, and the routine is idempotent.
     """
     pts = sorted(set(points))
     if not pts:
@@ -298,8 +311,8 @@ def extreme_points(points: Iterable[Vector]) -> RationalPolytope:
         if decided[idx]:
             continue
         while True:
-            support = [pts[i] for i in inner if i != idx]
-            member, certificate = hull_membership(support, p)
+            # Every point of ``inner`` is decided, so ``p`` is not among them.
+            member, certificate = hull_membership([pts[i] for i in inner], p)
             if member:
                 break
             c, _ = certificate  # type: ignore[misc]
@@ -320,14 +333,30 @@ def extreme_points(points: Iterable[Vector]) -> RationalPolytope:
                 # The whole point set sits strictly below p on c: extreme.
                 is_vertex[idx] = True
                 break
-            if best_i in inner_set and best_i != idx:  # pragma: no cover
+            if best_i in inner_set:  # pragma: no cover
                 raise AssertionError("separation certificate violated")
             inner.append(best_i)
             inner_set.add(best_i)
+            is_vertex[best_i] = decided[best_i] = True
         decided[idx] = True
 
     vertices = tuple(pts[i] for i in range(len(pts)) if is_vertex[i])
     return RationalPolytope(dim, vertices)
+
+
+def hull_of_union(
+    polytopes: Sequence[RationalPolytope], points: Iterable[Vector] = ()
+) -> RationalPolytope:
+    """Hull of the polytopes' vertices together with ``points``.
+
+    One polytope that already holds every extra point is its own hull: that
+    same instance is returned, so no hull is built and its cached
+    ``simplex_kernel`` is reused.
+    """
+    points = list(points)
+    if len(polytopes) == 1 and all(contains_point(polytopes[0], x) for x in points):
+        return polytopes[0]
+    return extreme_points([v for member in polytopes for v in member.vertices] + points)
 
 
 def affine_dim(polytope: RationalPolytope) -> int:

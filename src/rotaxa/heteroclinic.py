@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import ModelValidationError, ResourceCapError
-from .exactgeom import RationalPolytope, extreme_points
+from .exactgeom import RationalPolytope, hull_of_union
 from .markov import ANNULAR, TRIVIAL, BasicPieceModel, piece_rotation_set
 
 # Maximal chains past which enumeration stops with a ResourceCapError.  A
@@ -268,14 +268,15 @@ def chain_rotation_set(
     pieces: Mapping[str, BasicPieceModel],
     piece_sets: Mapping[str, RationalPolytope] | None = None,
 ) -> RationalPolytope:
-    """Hull of the union of the member pieces' rotation polytopes."""
+    """Hull of the union of the member pieces' rotation polytopes; a chain
+    of one piece gets that piece's polytope itself."""
     if not chain:
         raise ValueError("empty chain")
-    points = []
-    for name in chain:
-        if piece_sets is not None and name in piece_sets:
-            polytope = piece_sets[name]
-        else:
-            polytope = piece_rotation_set(pieces[name])
-        points.extend(polytope.vertices)
-    return extreme_points(points)
+    return hull_of_union(
+        [
+            piece_sets[name]
+            if piece_sets is not None and name in piece_sets
+            else piece_rotation_set(pieces[name])
+            for name in chain
+        ]
+    )

@@ -260,13 +260,18 @@ def model_digest(model: ModelDocument) -> str:
 
 def load_model(source: str | Path | bytes) -> ModelDocument:
     """Parse and validate a model from a file path or raw bytes."""
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    else:
-        path = Path(source)
-        if not path.exists():
-            raise ModelFormatError(f"no such file: {path}")
-        text = path.read_text(encoding="utf-8")
+    try:
+        if isinstance(source, bytes):
+            text = source.decode("utf-8")
+        else:
+            path = Path(source)
+            text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ModelFormatError(f"no such file: {path}") from None
+    except OSError as exc:
+        raise ModelFormatError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"not UTF-8 text: {exc}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

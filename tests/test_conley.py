@@ -182,6 +182,47 @@ class TestBlocks:
         assert len(blocks) == 1
         assert blocks[0].polytope.vertices == (zero_vector(4),)
 
+    def test_hulls_already_built_are_reused(self):
+        for model in (genus2_nonconvex(), genus2_full(), genus2_blocks(), exp_family(2)):
+            computation = compute(model)
+            polytopes = {data.chain: data.polytope for data in computation.chains}
+            for chain, polytope in polytopes.items():
+                if len(chain) == 1:
+                    assert polytope is computation.piece_sets[chain[0]]
+            origin = zero_vector(2 * model.genus)
+            for block in computation.blocks:
+                (chain,) = block.chains
+                assert contains_point(polytopes[chain], origin)
+                assert block.polytope is polytopes[chain]
+
+    def test_chain_missing_origin_is_coned(self):
+        far = BasicPieceModel(
+            id="F",
+            classification=CURVED,
+            graph=graph_from_edges(
+                [("s", (1, 0, 0, 0)), ("t", (2, 0, 0, 0))],
+                [("s", "s"), ("t", "t"), ("s", "t"), ("t", "s")],
+            ),
+        )
+        model = ModelDocument(
+            genus=2,
+            pieces=(far,),
+            heteroclinic=HeteroclinicPoset(pieces=("F",), edges=()),
+            decomposition=DecompositionModel(
+                subsurfaces=(
+                    Subsurface("S", CURVED_SURFACE, SubspaceBasis((V(1, 0, 0, 0),))),
+                ),
+                assignment={"F": "S"},
+            ),
+        )
+        computation = compute(model)
+        (data,) = computation.chains
+        assert data.polytope is computation.piece_sets["F"]
+        assert data.polytope.vertices == (V(1, 0, 0, 0), V(2, 0, 0, 0))
+        (block,) = computation.blocks
+        assert block.polytope.vertices == (zero_vector(4), V(2, 0, 0, 0))
+        assert coned(data.polytope) == block.polytope
+
     def test_blocks_contain_origin_and_their_chains(self):
         for model in (genus2_nonconvex(), genus2_full(), genus2_blocks(), exp_family(2)):
             table = model.pieces_by_id()

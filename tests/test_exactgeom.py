@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -91,6 +92,48 @@ class TestExtremePoints:
         assert scaled.vertices == tuple(
             vector_scale(v, factor) for v in base.vertices
         )
+
+
+@st.composite
+def sheared_grid_sets(draw):
+    """Points of a sheared integer grid in dimension 2 to 4, with mixed
+    per-axis denominators.  An axis of extent 1 makes the set lower
+    dimensional (collinear when only one axis is left); points are drawn with
+    replacement, so duplicates occur."""
+    dim = draw(st.integers(2, 4))
+    sizes = [draw(st.integers(1, 3)) for _ in range(dim)]
+    grid = list(product(*(range(size) for size in sizes)))
+    shear = [
+        [1 if i == j else draw(st.integers(-2, 2)) if j < i else 0 for j in range(dim)]
+        for i in range(dim)
+    ]
+    dens = [draw(st.integers(1, 3)) for _ in range(dim)]
+    whole = st.just(grid) if len(grid) <= 18 else st.nothing()
+    chosen = draw(whole | st.lists(st.sampled_from(grid), min_size=1, max_size=12))
+    return [
+        tuple(Fraction(sum(a * g for a, g in zip(row, point)), den)
+              for row, den in zip(shear, dens))
+        for point in chosen
+    ]
+
+
+def brute_vertices(points):
+    """A point is a vertex exactly when it lies outside the hull of the
+    other points."""
+    unique = sorted(set(points))
+    return tuple(
+        p
+        for p in unique
+        if len(unique) == 1
+        or not hull_membership([q for q in unique if q != p], p)[0]
+    )
+
+
+class TestExtremePointsOracle:
+    @settings(max_examples=150)
+    @given(sheared_grid_sets())
+    def test_vertices_match_one_lp_per_point(self, points):
+        assert extreme_points(points).vertices == brute_vertices(points)
 
 
 class TestMembership:

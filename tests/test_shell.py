@@ -319,6 +319,20 @@ class TestCli:
     def test_compute_missing_file(self, capsys):
         assert main(["compute", "missing.json"]) == 2
 
+    def test_unreadable_input_exit_code(self, tmp_path, capsys):
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\xff\xfe{}")
+        cases = [
+            (["compute", str(tmp_path)], "Is a directory"),
+            (["compute", str(binary)], "not UTF-8 text"),
+            (["compute", "exp_family(0)"], "exp_family needs k >= 1"),
+            (["fixture", "exp_family(0)"], "exp_family needs k >= 1"),
+        ]
+        for argv, message in cases:
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.err.startswith("invalid input: ") and message in captured.err
+
     def test_compute_roundtrip_file(self, tmp_path, capsys):
         model_path = tmp_path / "model.json"
         assert main(["fixture", "genus2_full", "--write", str(model_path)]) == 0
@@ -502,6 +516,14 @@ class TestCli:
             "probe_points: more than 20000 grid compositions "
             "(75581 at density 8 on 11 vertices)"
         ) in capsys.readouterr().err
+
+    def test_probe_cap_is_checked_without_counting_up(self, capsys):
+        # The composition count is one binomial, so a huge density is
+        # refused at once instead of being summed density by density.
+        start = time.perf_counter()
+        assert main(["check", "exp_family(5)", "--convex-density", "99999999999"]) == 3
+        assert time.perf_counter() - start < 5.0
+        assert "at density 99999999999 on 11 vertices" in capsys.readouterr().err
 
     @settings(
         max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture]

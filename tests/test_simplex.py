@@ -196,10 +196,12 @@ def test_agrees_with_basis_enumeration(lp):
 
 
 # Bland's rule fixes the pivot sequence, so the number of pivots on a fixed
-# input is a property of the input.  These counts were recorded with the
-# rational tableau this integer kernel replaced; a change to the kernel that
-# alters the pivot order shows here.  The 27-point grid on a box with mixed
-# denominators makes many ratio ties, so the leaving-row tie-break matters.
+# input is a property of the input.  A change to the kernel that alters the
+# pivot order shows here: reversing the leaving-row tie-break moves the hull
+# count from 100 to 93 and the segment count from 24 to 19.  The hull count
+# also depends on which LPs extreme_points asks for.  The 27-point grid on a
+# box with mixed denominators makes many ratio ties, so the leaving-row
+# tie-break matters.
 PINNED_POINTS = [
     (F(x, 2), F(y), F(z, 3))
     for x in range(-1, 2)
@@ -224,7 +226,7 @@ def pivot_count(monkeypatch):
 def test_extreme_points_pivot_count_is_pinned(pivot_count):
     hull = extreme_points(PINNED_POINTS)
     assert len(hull.vertices) == 8
-    assert pivot_count[0] == 122
+    assert pivot_count[0] == 100
 
 
 def test_segment_interval_pivot_count_is_pinned(pivot_count):
