@@ -30,6 +30,7 @@ from .exactgeom import (
     contains_point,
     hull_of_union,
     midpoint,
+    rank_of,
     segment_uncovered_gap,
     zero_vector,
 )
@@ -94,23 +95,12 @@ def classify_chain(chain_set: RationalPolytope) -> ChainClassification:
     origin = zero_vector(chain_set.dim)
     if contains_point(chain_set, origin):
         return ChainClassification(kind=CONTAINS_ZERO)
-    if affine_dim(chain_set) <= 1:
-        base = next((v for v in chain_set.vertices if any(v)), None)
-        if base is not None:
-            direction = _primitive_direction(base)
-            if all(_parallel(v, direction) for v in chain_set.vertices):
-                return ChainClassification(kind=RADIAL, direction=direction)
+    # Vertices of rank 1 lie on one line through the origin; the hull misses
+    # the origin, so they are all on one side of it.
+    if rank_of(chain_set.vertices) == 1:
+        direction = _primitive_direction(chain_set.vertices[0])
+        return ChainClassification(kind=RADIAL, direction=direction)
     return ChainClassification(kind=INCONSISTENT)
-
-
-def _parallel(v: Vector, direction: Vector) -> bool:
-    # v = t * direction for some rational t; the sets here never contain 0
-    # alongside the radial vertices, but t = 0 would be fine regardless.
-    lead = next((i for i, c in enumerate(direction) if c), None)
-    if lead is None:
-        return not any(v)
-    t = v[lead] / direction[lead]
-    return all(c == t * d for c, d in zip(v, direction))
 
 
 def star_shape_check(

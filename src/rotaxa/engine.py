@@ -71,7 +71,7 @@ def compute(model: ModelDocument) -> Computation:
     table = model.pieces_by_id()
     piece_sets = rotation_sets(table)
     chain_sets = {
-        chain: chain_rotation_set(chain, table, piece_sets=piece_sets)
+        chain: chain_rotation_set(chain, piece_sets)
         for chain in maximal_nontrivial_chains(model.heteroclinic, table)
     }
     violations, more = validate_rotation_data(model, piece_sets, chain_sets)

@@ -7,13 +7,16 @@ irredundant vertices, so structural equality of two polytopes is the same
 thing as geometric equality.  No tolerances exist anywhere: every decision
 is exact.
 
-A polytope whose vertices are affinely independent (a simplex, which every
-chain polytope and block of the fixtures is) answers membership and segment
-queries from a :class:`SimplexKernel`: integer rows, eliminated once per
-polytope and cached on it, that give barycentric coordinates and the affine
-hull equations, so each query is a handful of integer dot products.  Other
-polytopes answer them by exact rational linear programs.  Extreme points are
-always LP-certified, and span containment is an exact rank computation.
+Every exact rank, span and affine-independence question goes through one
+fraction-free integer Gauss-Jordan elimination (:func:`_eliminate`, after
+Bareiss 1968).  A polytope whose vertices are affinely independent (a
+simplex, which every chain polytope and block of the fixtures is) answers
+membership and segment queries from a :class:`SimplexKernel`: integer rows,
+eliminated once per polytope and cached on it, that give barycentric
+coordinates and the affine hull equations, so each query is a handful of
+integer dot products.  Other polytopes answer them by exact rational linear
+programs.  A point set that the elimination shows to be affinely independent
+is its own vertex set; any other hull is LP-certified.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError
-from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
+from .simplex import INFEASIBLE, OPTIMAL, solve_lp
 
 Vector = tuple[Fraction, ...]
 
@@ -161,17 +164,45 @@ def _dot(row: Sequence[int], y: Sequence[int]) -> int:
     return sum(map(mul, row, y))
 
 
+def _eliminate(rows: list[list[int]], cols: int) -> list[int]:
+    """Integer Gauss-Jordan on the first ``cols`` columns of ``rows``, in place.
+
+    Fraction-free: clearing column ``col`` replaces row ``r`` by
+    ``lead * r - factor * top`` and divides out its gcd (an all-zero row
+    stays zero), so every entry stays an integer and no row changes its row
+    space.  A column with no pivot is skipped.  Returns the pivot columns;
+    the ``i``-th of them has its only non-zero entry in row ``i``.
+    """
+    pivots: list[int] = []
+    for col in range(cols):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        lead = top[col]
+        for r in range(len(rows)):
+            factor = rows[r][col]
+            if r != rank and factor:
+                row = [lead * value - factor * t for value, t in zip(rows[r], top)]
+                g = gcd(*row) or 1
+                rows[r] = [value // g for value in row]
+        pivots.append(col)
+    return pivots
+
+
 def _simplex_kernel(vertices: Sequence[Vector]) -> SimplexKernel | None:
     """Eliminate ``A = [v_0 ... v_k; 1 ... 1]`` once, or ``None`` when the
     vertices are affinely dependent.
 
     Integer Gauss-Jordan on ``[S A | S]``, with ``S`` the positive diagonal
     that clears each row's denominators, gives an invertible ``E`` with
-    ``E A = [D; 0]`` for a diagonal ``D`` without zeros.  Row ``i < k + 1`` of
-    ``E``, times the sign of ``D[i][i]``, maps ``[x; 1]`` to a positive
-    multiple of the ``i``-th barycentric coordinate; the other rows vanish
-    exactly on the column space of ``A``, whose points ``[x; 1]`` are those
-    of the affine hull.
+    ``E A = [D; 0]`` for a diagonal ``D`` without zeros, provided every
+    column of ``A`` pivots.  Row ``i < k + 1`` of ``E``, times the sign of
+    ``D[i][i]``, maps ``[x; 1]`` to a positive multiple of the ``i``-th
+    barycentric coordinate; the other rows vanish exactly on the column
+    space of ``A``, whose points ``[x; 1]`` are those of the affine hull.
     """
     cols = len(vertices)
     size = len(vertices[0]) + 1
@@ -180,19 +211,8 @@ def _simplex_kernel(vertices: Sequence[Vector]) -> SimplexKernel | None:
         entries = [v[i] for v in vertices] if i < size - 1 else [_ONE] * cols
         nums, scale = _scaled(entries)
         rows.append(list(nums) + [scale if j == i else 0 for j in range(size)])
-    for col in range(cols):
-        pivot = next((r for r in range(col, size) if rows[r][col]), None)
-        if pivot is None:
-            return None
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        top = rows[col]
-        lead = top[col]
-        for r in range(size):
-            factor = rows[r][col]
-            if r != col and factor:
-                row = [lead * value - factor * t for value, t in zip(rows[r], top)]
-                g = gcd(*row)
-                rows[r] = [value // g for value in row]
+    if len(_eliminate(rows, cols)) < cols:
+        return None
     functionals = []
     for i, row in enumerate(rows):
         sign = -1 if i < cols and row[i] < 0 else 1
@@ -222,17 +242,6 @@ def _scaled(p: Vector) -> tuple[tuple[int, ...], int]:
     """Integer numerators and a common positive denominator for ``p``."""
     den = lcm(*(c.denominator for c in p))
     return tuple(c.numerator * (den // c.denominator) for c in p), den
-
-
-def _functional_values(c_nums, points_scaled):
-    """Exact ``c . p`` comparisons via cross-multiplication, no Fractions."""
-    for nums, den in points_scaled:
-        yield sum(ci * ni for ci, ni in zip(c_nums, nums)), den
-
-
-def _scaled_value(c_nums, point_scaled):
-    nums, den = point_scaled
-    return sum(ci * ni for ci, ni in zip(c_nums, nums)), den
 
 
 def hull_membership(
@@ -273,11 +282,15 @@ def contains_point(polytope: RationalPolytope, x: Vector) -> bool:
 def extreme_points(points: Iterable[Vector]) -> RationalPolytope:
     """Irredundant vertex set of the convex hull of ``points``.
 
-    Certificate-driven: the points are decided in lexicographic order, each
-    undecided candidate ``p`` first tested against a small inner
-    approximation of the hull; when that test fails, the LP's separating
-    functional ``c`` either certifies ``p`` as extreme outright (every other
-    point lies strictly below it) or discovers ``best``, the
+    Distinct points that are affinely independent (at most ``dim + 1`` of
+    them, every column pivoting in :func:`_simplex_kernel`) are each a
+    vertex, so they are returned as they are, with no LP.
+
+    Any other set is decided certificate-driven: the points are decided in
+    lexicographic order, each undecided candidate ``p`` first tested against
+    a small inner approximation of the hull; when that test fails, the LP's
+    separating functional ``c`` either certifies ``p`` as extreme outright
+    (every other point lies strictly below it) or discovers ``best``, the
     lexicographically largest maximizer of ``c`` over the other points,
     which joins the approximation.  ``best`` is decided as a vertex on
     discovery, with no LP of its own:
@@ -290,15 +303,26 @@ def extreme_points(points: Iterable[Vector]) -> RationalPolytope:
       and ``c`` puts all of it strictly below ``c . p = c . best``.
 
     The second case rests on the lexicographic order.  Every verdict is
-    backed by an exact LP certificate, and the routine is idempotent.
+    backed by an exact certificate, an elimination or an LP, and the routine
+    is idempotent.
     """
-    pts = sorted(set(points))
-    if not pts:
+    points = list(points)
+    if not points:
         raise ValueError("extreme_points of an empty point set")
-    dim = _check_uniform(pts)
-    if len(pts) == 1:
-        return RationalPolytope(dim, (pts[0],))
-    scaled = [_scaled(p) for p in pts]
+    dim = _check_uniform(points)
+    # The distinct points as integer vectors over one common denominator:
+    # these sort in the points' lexicographic order and hash faster.
+    flat, _ = _scaled(tuple(c for p in points for c in p))
+    by_ints = {flat[k * dim : (k + 1) * dim]: p for k, p in enumerate(points)}
+    ints = sorted(by_ints)
+    pts = [by_ints[q] for q in ints]
+    if len(pts) <= dim + 1:
+        kernel = _simplex_kernel(pts)
+        if kernel is not None:
+            simplex = RationalPolytope(dim, tuple(pts))
+            # Keep the kernel where the cached property would store it.
+            vars(simplex)["simplex_kernel"] = kernel
+            return simplex
 
     inner: list[int] = [0, len(pts) - 1]  # lexicographic extremes are vertices
     inner_set = set(inner)
@@ -317,19 +341,14 @@ def extreme_points(points: Iterable[Vector]) -> RationalPolytope:
                 break
             c, _ = certificate  # type: ignore[misc]
             c_nums, _ = _scaled(c)
-            # Scan for the functional's maximizer among all other points.
-            best_i = -1
-            best_num = 0
-            best_den = 1
-            for i, (num, den) in enumerate(_functional_values(c_nums, scaled)):
-                if i == idx:
-                    continue
-                if best_i < 0 or num * best_den > best_num * den or (
-                    num * best_den == best_num * den and pts[i] > pts[best_i]
-                ):
-                    best_i, best_num, best_den = i, num, den
-            p_num, p_den = _scaled_value(c_nums, scaled[idx])
-            if best_num * p_den < p_num * best_den:
+            values = [_dot(c_nums, q) for q in ints]
+            # The functional's maximizer among the other points, ties going
+            # to the lexicographically largest, which is the largest index.
+            best_i = max(
+                (i for i in range(len(pts)) if i != idx),
+                key=lambda i: (values[i], i),
+            )
+            if values[best_i] < values[idx]:
                 # The whole point set sits strictly below p on c: extreme.
                 is_vertex[idx] = True
                 break
@@ -366,31 +385,12 @@ def affine_dim(polytope: RationalPolytope) -> int:
 
 
 def rank_of(vectors: Iterable[Vector]) -> int:
-    """Rank over Q by exact Gaussian elimination."""
-    rows = [list(v) for v in vectors]
+    """Rank over Q: the number of pivots when the rows, each scaled to
+    integers, are eliminated."""
+    rows = [list(_scaled(v)[0]) for v in vectors]
     if not rows:
         return 0
-    width = len(rows[0])
-    rank = 0
-    for col in range(width):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            factor = rows[r][col]
-            if factor:
-                ratio = factor / lead
-                row = rows[r]
-                top = rows[rank]
-                for j in range(col, width):
-                    if top[j]:
-                        row[j] -= ratio * top[j]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    return len(_eliminate(rows, len(rows[0])))
 
 
 def vertex_outside_span(

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 from .errors import ModelValidationError, ResourceCapError
 from .exactgeom import RationalPolytope, hull_of_union
-from .markov import ANNULAR, TRIVIAL, BasicPieceModel, piece_rotation_set
+from .markov import ANNULAR, TRIVIAL, BasicPieceModel
 
 # Maximal chains past which enumeration stops with a ResourceCapError.  A
 # ladder relation of depth d has 2^d of them, and each one costs a hull and a
@@ -222,13 +222,15 @@ def maximal_nontrivial_chains(
     Restriction happens after the closure, so reachability through trivial
     pieces survives.  Output is deterministic: lexicographic in the piece-id
     sequences.
+
+    Precondition: the relation is acyclic, as :func:`validate_poset`
+    establishes.  A piece that reaches itself raises
+    :class:`ModelValidationError` naming it.
     """
-    cycle = find_relation_cycle(poset)
-    if cycle is not None:
-        raise ModelValidationError(
-            ["relation has a cycle: " + " -> ".join(cycle)]
-        )
     closure = transitive_closure(poset)
+    for piece in sorted(poset.pieces):
+        if piece in closure[piece]:
+            raise ModelValidationError([f"relation has a cycle through {piece!r}"])
     elements = sorted(
         p for p in poset.pieces if pieces[p].classification != TRIVIAL
     )
@@ -264,19 +266,10 @@ def maximal_nontrivial_chains(
 
 
 def chain_rotation_set(
-    chain: Chain,
-    pieces: Mapping[str, BasicPieceModel],
-    piece_sets: Mapping[str, RationalPolytope] | None = None,
+    chain: Chain, piece_sets: Mapping[str, RationalPolytope]
 ) -> RationalPolytope:
-    """Hull of the union of the member pieces' rotation polytopes; a chain
-    of one piece gets that piece's polytope itself."""
+    """Hull of the union of the member pieces' rotation polytopes, read from
+    ``piece_sets``; a chain of one piece gets that piece's polytope itself."""
     if not chain:
         raise ValueError("empty chain")
-    return hull_of_union(
-        [
-            piece_sets[name]
-            if piece_sets is not None and name in piece_sets
-            else piece_rotation_set(pieces[name])
-            for name in chain
-        ]
-    )
+    return hull_of_union([piece_sets[name] for name in chain])

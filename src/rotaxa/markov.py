@@ -191,17 +191,15 @@ def word_rotation_vector(piece: BasicPieceModel, word: PeriodicWord) -> Vector:
     return tuple(c * period for c in total)
 
 
-def simple_cycles(
-    graph: MarkovGraph, cap: int = DEFAULT_CYCLE_CAP
-) -> list[tuple[str, ...]]:
+def simple_cycles(graph: MarkovGraph) -> list[tuple[str, ...]]:
     """All elementary cycles, by Johnson's algorithm with blocking.
 
     Each cycle appears once, rooted at its smallest node, roots in
     increasing order.  The search from a root stays in the root's strongly
     connected component among the nodes at or above it, so a ring of N
     nodes costs O(N), not O(N^2).  Raises :class:`ResourceCapError` when
-    more than ``cap`` cycles exist; the enumeration is never silently
-    truncated.  Explicit stacks replace recursion.
+    more than ``DEFAULT_CYCLE_CAP`` cycles exist; the enumeration is never
+    silently truncated.  Explicit stacks replace recursion.
     """
     succ = graph.successors()
     cycles: list[tuple[str, ...]] = []
@@ -226,10 +224,10 @@ def simple_cycles(
                     continue
                 if w == start:
                     cycles.append(tuple(path))
-                    if len(cycles) > cap:
+                    if len(cycles) > DEFAULT_CYCLE_CAP:
                         raise ResourceCapError(
-                            f"simple_cycles: more than {cap} simple cycles "
-                            f"({len(cycles)} enumerated)"
+                            f"simple_cycles: more than {DEFAULT_CYCLE_CAP} "
+                            f"simple cycles ({len(cycles)} enumerated)"
                         )
                     frame[2] = True
                 elif w not in blocked:
@@ -305,9 +303,7 @@ def _unblock(node: str, blocked: set[str], blocked_map: dict[str, set[str]]) -> 
             stack.extend(blocked_map.pop(u, ()))
 
 
-def piece_rotation_set(
-    piece: BasicPieceModel, cycle_cap: int = DEFAULT_CYCLE_CAP
-) -> RationalPolytope:
+def piece_rotation_set(piece: BasicPieceModel) -> RationalPolytope:
     """Rotation polytope of the piece: hull of simple-cycle mean displacements."""
     # Sum cycles as integer vectors over the displacements' common
     # denominator.  Equal means share one gcd-reduced (total, length) key,
@@ -315,7 +311,7 @@ def piece_rotation_set(
     den, ints = piece.graph.integer_displacements()
     sums = {
         (tuple(map(sum, zip(*map(ints.__getitem__, cycle)))), len(cycle))
-        for cycle in simple_cycles(piece.graph, cap=cycle_cap)
+        for cycle in simple_cycles(piece.graph)
     }
     keys = set()
     for total, length in sums:
@@ -328,10 +324,7 @@ def piece_rotation_set(
 
 
 def rotation_sets(
-    pieces: Mapping[str, BasicPieceModel], cycle_cap: int = DEFAULT_CYCLE_CAP
+    pieces: Mapping[str, BasicPieceModel],
 ) -> dict[str, RationalPolytope]:
     """Rotation polytopes for a whole piece table, keyed by piece id."""
-    return {
-        name: piece_rotation_set(piece, cycle_cap=cycle_cap)
-        for name, piece in pieces.items()
-    }
+    return {name: piece_rotation_set(piece) for name, piece in pieces.items()}

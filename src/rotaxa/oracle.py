@@ -59,11 +59,7 @@ class Lcg64:
         return items[self.below(len(items))]
 
 
-def oracle_piece_set(
-    piece: BasicPieceModel,
-    max_len: int,
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> RationalPolytope:
+def oracle_piece_set(piece: BasicPieceModel, max_len: int) -> RationalPolytope:
     """Hull of mean displacements over all cycles of length up to ``max_len``.
 
     Depth-first search over walk states (current node, length, accumulated
@@ -71,7 +67,7 @@ def oracle_piece_set(
     search finite without dropping any attainable cycle mean.  Walks rooted
     at a node never descend below it in node order, so each closed walk is
     counted from its minimal node.  Raises :class:`ResourceCapError` when the
-    state space exceeds ``state_cap``.
+    state space exceeds ``DEFAULT_STATE_CAP``.
     """
     node_ids = sorted(piece.graph.node_ids)
     if max_len < len(node_ids):
@@ -107,9 +103,9 @@ def oracle_piece_set(
                 if state not in seen:
                     seen.add(state)
                     states += 1
-                    if states > state_cap:
+                    if states > DEFAULT_STATE_CAP:
                         raise ResourceCapError(
-                            f"cycle-walk state space exceeded {state_cap}"
+                            f"cycle-walk state space exceeded {DEFAULT_STATE_CAP}"
                         )
                     stack.append(state)
     return extreme_points(means)

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import V
 from rotaxa.analysis import (
@@ -23,12 +26,21 @@ from rotaxa.analysis import (
 )
 from rotaxa.engine import compute, run_checks
 from rotaxa.exactgeom import (
+    as_vector,
     contains_point,
     extreme_points,
+    hull_membership,
     midpoint,
+    vector_add,
     vector_scale,
+    zero_vector,
 )
 from rotaxa.fixtures import exp_family, genus2_blocks, genus2_full, genus2_nonconvex
+
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+positive_rationals = st.fractions(
+    min_value=Fraction(1, 9), max_value=9, max_denominator=9
+)
 
 
 class TestClassifyChain:
@@ -65,6 +77,59 @@ class TestClassifyChain:
             assert result.kind == RADIAL
             # Parallel to the unscaled direction (canonical primitive form).
             assert result.direction == V(1, -2)
+
+
+def positive_multiple(v, u):
+    """Is ``v = t * u`` for some rational ``t > 0``?"""
+    lead = next(i for i, c in enumerate(u) if c)
+    t = v[lead] / u[lead]
+    return t > 0 and all(c == t * d for c, d in zip(v, u))
+
+
+@st.composite
+def chain_sets(draw):
+    """Segments on a ray, segments through the origin, segments off it and
+    flat polygons, in dimensions 1 to 4."""
+    dim = draw(st.integers(1, 4))
+    vector = st.tuples(*[rationals] * dim).filter(any).map(as_vector)
+    d = draw(vector)
+    shape = draw(st.sampled_from(["ray", "through_zero", "offset", "polygon"]))
+    if shape == "ray":
+        scalars = draw(st.lists(positive_rationals, min_size=1, max_size=3))
+        points = [vector_scale(d, s) for s in scalars]
+    elif shape == "through_zero":
+        scalars = draw(st.lists(rationals, min_size=1, max_size=3))
+        points = [vector_scale(d, s) for s in scalars]
+    else:
+        offset = draw(vector) if draw(st.booleans()) else zero_vector(dim)
+        e = draw(vector) if shape == "polygon" else zero_vector(dim)
+        pairs = draw(st.lists(st.tuples(rationals, rationals), min_size=1, max_size=5))
+        points = [
+            vector_add(offset, vector_add(vector_scale(d, a), vector_scale(e, b)))
+            for a, b in pairs
+        ]
+    return extreme_points(points)
+
+
+class TestClassifyChainOracle:
+    @settings(max_examples=250)
+    @given(chain_sets())
+    def test_radial_iff_positive_multiples_of_first_vertex(self, chain_set):
+        result = classify_chain(chain_set)
+        first = chain_set.vertices[0]
+        if hull_membership(chain_set.vertices, zero_vector(chain_set.dim))[0]:
+            assert result.kind == CONTAINS_ZERO
+        elif all(positive_multiple(v, first) for v in chain_set.vertices):
+            assert result.kind == RADIAL
+            assert all(c.denominator == 1 for c in result.direction)
+            assert gcd(*(c.numerator for c in result.direction)) == 1
+            # The direction spans the line, its first non-zero entry positive.
+            assert next(c for c in result.direction if c) > 0
+            assert positive_multiple(result.direction, first) or positive_multiple(
+                result.direction, vector_scale(first, -1)
+            )
+        else:
+            assert result.kind == INCONSISTENT
 
 
 class TestStarShape:

@@ -33,6 +33,7 @@ from rotaxa.markov import (
     REPELLING,
     BasicPieceModel,
     graph_from_edges,
+    rotation_sets,
 )
 from rotaxa.model import ModelDocument, validate_model
 
@@ -225,12 +226,12 @@ class TestBlocks:
 
     def test_blocks_contain_origin_and_their_chains(self):
         for model in (genus2_nonconvex(), genus2_full(), genus2_blocks(), exp_family(2)):
-            table = model.pieces_by_id()
+            piece_sets = rotation_sets(model.pieces_by_id())
             blocks = compute(model).blocks
             for block in blocks:
                 assert contains_point(block.polytope, zero_vector(2 * model.genus))
                 for chain in block.chains:
-                    chain_poly = chain_rotation_set(chain, table)
+                    chain_poly = chain_rotation_set(chain, piece_sets)
                     coned_poly = coned(chain_poly)
                     # Two-sided union bookkeeping: the block absorbs every
                     # coned chain set, and every block vertex is a vertex of
@@ -240,7 +241,7 @@ class TestBlocks:
                 union_vertices = {
                     v
                     for chain in block.chains
-                    for v in coned(chain_rotation_set(chain, table)).vertices
+                    for v in coned(chain_rotation_set(chain, piece_sets)).vertices
                 }
                 for v in block.polytope.vertices:
                     assert v in union_vertices or not any(v)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -273,6 +273,24 @@ class TestSimplexKernel:
         square = extreme_points([V(0, 0), V(1, 0), V(0, 1), V(1, 1)])
         assert square.simplex_kernel is None
 
+    @pytest.mark.parametrize("dim", range(1, 5))
+    @settings(max_examples=12)
+    @given(data=st.data())
+    def test_simplex_hull_solves_no_lp(self, dim, data):
+        verts, _ = data.draw(simplex_queries(dim, data.draw(st.integers(0, dim))))
+        calls = []
+        solve_lp = exactgeom.solve_lp
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve_lp(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exactgeom, "solve_lp", counted)
+            poly = extreme_points(verts + verts[:1])
+        assert poly.vertices == tuple(sorted(verts))
+        assert len(calls) == 0
+
     def test_checks_on_simplices_solve_no_lp(self, monkeypatch):
         # Every chain polytope and block of these fixtures is a simplex, so
         # after compute no check may fall back to the LP.
@@ -357,6 +375,66 @@ class TestSegmentCoverage:
         assert not segment_covered(V(5, 5), V(5, 5), [triangle])
 
 
+def leibniz_det(matrix):
+    """Determinant as the signed sum over permutations, in Fractions."""
+    total = Fraction(0)
+    for perm in permutations(range(len(matrix))):
+        inversions = sum(
+            perm[i] > perm[j] for i, j in combinations(range(len(perm)), 2)
+        )
+        term = Fraction((-1) ** inversions)
+        for row, col in zip(matrix, perm):
+            term *= row[col]
+        total += term
+    return total
+
+
+def minor_rank(rows):
+    """The size of the largest square minor with a non-zero determinant."""
+    width = len(rows[0]) if rows else 0
+    for size in range(min(len(rows), width), 0, -1):
+        for chosen in combinations(rows, size):
+            for cols in combinations(range(width), size):
+                if leibniz_det([[row[c] for c in cols] for row in chosen]):
+                    return size
+    return 0
+
+
+@st.composite
+def matrix_and_point(draw):
+    """Up to 4 x 4 rational rows with mixed denominators, where each row is
+    drawn fresh, zero, a repeat or a combination of earlier rows; a basis
+    size; and a point that is fresh or a combination of the rows."""
+    width = draw(st.integers(1, 4))
+    rows = []
+
+    def combination():
+        coeffs = draw(st.lists(rationals, min_size=len(rows), max_size=len(rows)))
+        return tuple(
+            sum((c * row[k] for c, row in zip(coeffs, rows)), Fraction(0))
+            for k in range(width)
+        )
+
+    for _ in range(draw(st.integers(1, 4))):
+        # Half the rows are fresh, so full-rank matrices are drawn too.
+        kinds = ["fresh"] * 3 + ["zero", "repeat", "combination"]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "fresh" or not rows:
+            rows.append(as_vector(draw(vectors(width))))
+        elif kind == "zero":
+            rows.append(as_vector([0] * width))
+        elif kind == "repeat":
+            rows.append(draw(st.sampled_from(rows)))
+        else:
+            rows.append(combination())
+    basis_size = draw(st.integers(0, len(rows)))
+    if draw(st.booleans()):
+        x = as_vector(draw(vectors(width)))
+    else:
+        x = combination()
+    return rows, basis_size, x
+
+
 class TestSpan:
     def test_plane_contains_triangle(self):
         basis = SubspaceBasis((V(1, 0, 0, 0), V(0, 1, 0, 0)))
@@ -377,6 +455,15 @@ class TestSpan:
         assert rank_of([]) == 0
         assert rank_of([V(1, 2), V(2, 4)]) == 1
         assert rank_of([V(1, 0), V(1, 1)]) == 2
+
+    @settings(max_examples=200)
+    @given(matrix_and_point())
+    def test_rank_and_span_match_largest_nonzero_minor(self, case):
+        rows, basis_size, x = case
+        assert rank_of(rows) == minor_rank(rows)
+        basis = SubspaceBasis(tuple(rows[:basis_size]))
+        inside = minor_rank(rows[:basis_size] + [x]) == minor_rank(rows[:basis_size])
+        assert in_span(basis, RationalPolytope(len(x), (x,))) == inside
 
     @given(st.lists(vectors(3), min_size=1, max_size=5), st.integers(1, 4))
     def test_rank_scale_invariant(self, rows, factor):

@@ -20,7 +20,13 @@ from rotaxa.heteroclinic import (
     transitive_closure,
     validate_poset,
 )
-from rotaxa.markov import CURVED, TRIVIAL, BasicPieceModel, graph_from_edges
+from rotaxa.markov import (
+    CURVED,
+    TRIVIAL,
+    BasicPieceModel,
+    graph_from_edges,
+    rotation_sets,
+)
 
 
 def rotation_union(model):
@@ -126,7 +132,7 @@ class TestChainRotationSets:
     def test_single_piece_chain(self):
         model = genus2_nonconvex()
         table = model.pieces_by_id()
-        poly = chain_rotation_set(("H1",), table)
+        poly = chain_rotation_set(("H1",), rotation_sets(table))
         assert poly.vertices == (
             V(0, 0, 0, 0),
             V(1, 0, 0, 0),
@@ -138,7 +144,7 @@ class TestChainRotationSets:
             "a": point_piece("a", V(1, 0)),
             "b": point_piece("b", V(0, 1)),
         }
-        poly = chain_rotation_set(("a", "b"), pieces)
+        poly = chain_rotation_set(("a", "b"), rotation_sets(pieces))
         assert poly.vertices == (V(0, 1), V(1, 0))
 
     def test_two_segments_make_triangle(self):
@@ -146,28 +152,29 @@ class TestChainRotationSets:
             "a": seg_piece("a", V(0, 0), V(1, 0)),
             "b": seg_piece("b", V(0, 0), V(0, 1)),
         }
-        poly = chain_rotation_set(("a", "b"), pieces)
+        poly = chain_rotation_set(("a", "b"), rotation_sets(pieces))
         # Independent expectation: three hull candidates, none redundant.
         assert poly == extreme_points([V(0, 0), V(1, 0), V(0, 1)])
 
     def test_subchain_monotone(self):
         model = exp_family(2)
         table = model.pieces_by_id()
+        piece_sets = rotation_sets(table)
         chains = maximal_nontrivial_chains(model.heteroclinic, table)
         for chain in chains:
-            full = chain_rotation_set(chain, table)
+            full = chain_rotation_set(chain, piece_sets)
             for size in range(1, len(chain)):
                 for sub in combinations(chain, size):
-                    sub_poly = chain_rotation_set(sub, table)
+                    sub_poly = chain_rotation_set(sub, piece_sets)
                     for v in sub_poly.vertices:
                         assert contains_point(full, v)
 
     def test_chain_contains_member_pieces(self):
         model = genus2_full()
-        table = model.pieces_by_id()
+        piece_sets = rotation_sets(model.pieces_by_id())
         for chain, poly in rotation_union(model):
             for name in chain:
-                member = chain_rotation_set((name,), table)
+                member = chain_rotation_set((name,), piece_sets)
                 for v in member.vertices:
                     assert contains_point(poly, v)
 
@@ -190,7 +197,7 @@ class TestGlobalUnion:
         model = genus2_blocks()
         union = dict(rotation_union(model))
         assert union[("C1",)] == chain_rotation_set(
-            ("C1",), model.pieces_by_id()
+            ("C1",), rotation_sets(model.pieces_by_id())
         )
 
     def test_zero_in_union_when_some_piece_has_zero(self):

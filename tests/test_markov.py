@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import V
+from rotaxa import markov
 from rotaxa.engine import validate
 from rotaxa.errors import InadmissibleWordError, ResourceCapError
 from rotaxa.exactgeom import extreme_points, vector_scale
@@ -179,10 +180,11 @@ class TestPieceRotationSet:
                 vector_scale(v, factor) for v in base.vertices
             )
 
-    def test_cycle_cap_is_an_error(self):
+    def test_cycle_cap_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(markov, "DEFAULT_CYCLE_CAP", 2)
         piece = curved(KWAPISZ_NODES, KWAPISZ_EDGES)
         with pytest.raises(ResourceCapError):
-            piece_rotation_set(piece, cycle_cap=2)
+            piece_rotation_set(piece)
 
 
 def _gcd(a: int, b: int) -> int:

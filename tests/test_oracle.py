@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import V
+from rotaxa import oracle
 from rotaxa.engine import compute
 from rotaxa.errors import ResourceCapError
 from rotaxa.exactgeom import contains_point
@@ -73,10 +74,11 @@ class TestOraclePieceSet:
         with pytest.raises(ValueError):
             oracle_piece_set(piece, 2)
 
-    def test_state_cap(self):
+    def test_state_cap(self, monkeypatch):
+        monkeypatch.setattr(oracle, "DEFAULT_STATE_CAP", 3)
         piece = curved(KWAPISZ_NODES, KWAPISZ_EDGES)
         with pytest.raises(ResourceCapError):
-            oracle_piece_set(piece, 6, state_cap=3)
+            oracle_piece_set(piece, 6)
 
 
 class TestLcg:
