@@ -25,12 +25,10 @@ from .errors import DimensionMismatchError, ResourceCapError
 from .exactgeom import (
     RationalPolytope,
     Vector,
-    _scaled,
     affine_dim,
     contains_point,
     hull_of_union,
     midpoint,
-    rank_of,
     segment_uncovered_gap,
     zero_vector,
 )
@@ -75,8 +73,7 @@ class InteriorReport:
     detail: str | None = None
 
 
-def _primitive_direction(v: Vector) -> Vector:
-    ints, _ = _scaled(v)
+def _primitive_direction(ints: tuple[int, ...]) -> Vector:
     g = gcd(*ints)
     ints = [value // g for value in ints]
     lead = next(value for value in ints if value)
@@ -95,11 +92,11 @@ def classify_chain(chain_set: RationalPolytope) -> ChainClassification:
     origin = zero_vector(chain_set.dim)
     if contains_point(chain_set, origin):
         return ChainClassification(kind=CONTAINS_ZERO)
-    # Vertices of rank 1 lie on one line through the origin; the hull misses
-    # the origin, so they are all on one side of it.
-    if rank_of(chain_set.vertices) == 1:
-        direction = _primitive_direction(chain_set.vertices[0])
-        return ChainClassification(kind=RADIAL, direction=direction)
+    # Vertices with one primitive direction lie on one line through the
+    # origin; the hull misses the origin, so they are all on one side of it.
+    directions = {_primitive_direction(row) for row in chain_set.integer_vertices[1]}
+    if len(directions) == 1:
+        return ChainClassification(kind=RADIAL, direction=directions.pop())
     return ChainClassification(kind=INCONSISTENT)
 
 
@@ -140,8 +137,8 @@ def probe_points(
     midpoints, so the grids of denominators up to ``max(density, 2)`` are
     taken.  More than :data:`PROBE_CAP` compositions raise
     :class:`ResourceCapError` before any point is built.  Every grid point
-    times ``common``, a multiple of each vertex's denominator times each
-    grid denominator, is an integer vector; the points are summed,
+    times ``common``, the hull's ``integer_vertices`` denominator times
+    each grid denominator, is an integer vector; the points are summed,
     deduplicated and sorted as those, and divided once.
     """
     top = max(density, 2)
@@ -154,9 +151,10 @@ def probe_points(
             f"probe_points: more than {PROBE_CAP} grid compositions "
             f"({count} at density {top} on {parts} vertices)"
         )
-    ints = [_scaled(v) for v in hull.vertices]
-    common = lcm(*(den for _, den in ints)) * lcm(*range(1, top + 1))
-    verts = [tuple(c * (common // den) for c in nums) for nums, den in ints]
+    vertex_den, rows = hull.integer_vertices
+    grid = lcm(*range(1, top + 1))
+    common = vertex_den * grid
+    verts = [tuple(c * grid for c in row) for row in rows]
     points: set[tuple[int, ...]] = set()
     for den in range(1, top + 1):
         for weights in _compositions(den, len(verts)):

@@ -91,24 +91,37 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fixture(name: str) -> ModelDocument:
+    """The embedded fixture ``name``; an unknown or malformed name is
+    invalid input."""
+    try:
+        return get_fixture(name)
+    except KeyError:
+        raise ModelFormatError(f"no such file or fixture: {name!r}") from None
+    except ValueError as exc:
+        raise ModelFormatError(f"fixture {name!r}: {exc}") from None
+
+
 def _resolve_model(token: str) -> ModelDocument:
     path = Path(token)
     if path.exists():
         return load_model(path)
+    return _fixture(token)
+
+
+def _write(path: str, text: str) -> None:
+    """Write ``text`` to ``path``; a path that cannot be written is invalid
+    input."""
     try:
-        return get_fixture(token)
-    except KeyError:
-        raise ModelFormatError(
-            f"no such file or fixture: {token!r}"
-        ) from None
-    except ValueError as exc:
-        raise ModelFormatError(f"fixture {token!r}: {exc}") from None
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ModelFormatError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
     text = dumps_canonical(payload)
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+        _write(out_path, text)
     sys.stdout.write(text)
 
 
@@ -140,11 +153,11 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.command == "fixture":
-        model = get_fixture_or_fail(args.name)
+        model = _fixture(args.name)
         payload = model_to_dict(model)
         text = dumps_canonical(payload)
         if args.write:
-            Path(args.write).write_text(text, encoding="utf-8")
+            _write(args.write, text)
             print(f"wrote {args.write}", file=sys.stderr)
         sys.stdout.write(text)
         return EXIT_OK
@@ -172,9 +185,9 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "compute":
         computation = compute(model)
-        _emit(result_to_dict(computation), args.out)
         if args.csv:
-            Path(args.csv).write_text(blocks_to_csv(computation), encoding="utf-8")
+            _write(args.csv, blocks_to_csv(computation))
+        _emit(result_to_dict(computation), args.out)
         print(
             f"{len(computation.chains)} chains, {len(computation.blocks)} blocks",
             file=sys.stderr,
@@ -203,15 +216,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK if outcomes_passed(outcomes) else EXIT_CHECKS_FAILED
 
     raise AssertionError(f"unhandled command {args.command!r}")
-
-
-def get_fixture_or_fail(name: str) -> ModelDocument:
-    try:
-        return get_fixture(name)
-    except KeyError as exc:
-        raise ModelFormatError(str(exc)) from None
-    except ValueError as exc:
-        raise ModelFormatError(f"fixture {name!r}: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -7,16 +7,18 @@ irredundant vertices, so structural equality of two polytopes is the same
 thing as geometric equality.  No tolerances exist anywhere: every decision
 is exact.
 
-Every exact rank, span and affine-independence question goes through one
-fraction-free integer Gauss-Jordan elimination (:func:`_eliminate`, after
-Bareiss 1968).  A polytope whose vertices are affinely independent (a
-simplex, which every chain polytope and block of the fixtures is) answers
-membership and segment queries from a :class:`SimplexKernel`: integer rows,
-eliminated once per polytope and cached on it, that give barycentric
-coordinates and the affine hull equations, so each query is a handful of
-integer dot products.  Other polytopes answer them by exact rational linear
-programs.  A point set that the elimination shows to be affinely independent
-is its own vertex set; any other hull is LP-certified.
+A polytope also keeps its vertices as integers over one denominator
+(``integer_vertices``), converted once when its hull is built.  Every exact
+rank, span and affine-independence question goes through one fraction-free
+integer Gauss-Jordan elimination (:func:`_eliminate`, after Bareiss 1968).
+A polytope whose vertices are affinely independent (a simplex, which every
+chain polytope and block of the fixtures is) answers membership and segment
+queries from a :class:`SimplexKernel`: integer rows, eliminated once per
+polytope and cached on it, that give barycentric coordinates and the affine
+hull equations, so each query is a handful of integer dot products.  Other
+polytopes answer them by exact rational linear programs.  A point set that
+the elimination shows to be affinely independent is its own vertex set; any
+other hull is LP-certified.
 """
 
 from __future__ import annotations
@@ -24,12 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError
-from .simplex import INFEASIBLE, OPTIMAL, solve_lp
+from .simplex import INFEASIBLE, OPTIMAL, integer_rows, solve_lp
 
 Vector = tuple[Fraction, ...]
 
@@ -101,13 +103,19 @@ class RationalPolytope:
                 )
 
     @cached_property
+    def integer_vertices(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """``(den, rows)``: each vertex times a positive common denominator
+        ``den``; stored by :func:`extreme_points`, else converted once."""
+        return integer_rows(self.vertices)
+
+    @cached_property
     def simplex_kernel(self) -> SimplexKernel | None:
         """The polytope's :class:`SimplexKernel`, eliminated on first use and
         kept on this instance; ``None`` unless the vertices are affinely
         independent."""
         if len(self.vertices) > self.dim + 1:
             return None
-        return _simplex_kernel(self.vertices)
+        return _simplex_kernel(*self.integer_vertices)
 
 
 @dataclass(frozen=True)
@@ -126,7 +134,7 @@ class SimplexKernel:
     affine: tuple[tuple[int, ...], ...]
 
     def contains(self, x: Vector) -> bool:
-        nums, den = _scaled(x)
+        den, (nums,) = integer_rows((x,))
         y = nums + (den,)
         return all(_dot(row, y) == 0 for row in self.affine) and all(
             _dot(row, y) >= 0 for row in self.barycentric
@@ -136,10 +144,9 @@ class SimplexKernel:
         self, a: Vector, b: Vector
     ) -> tuple[Fraction, Fraction] | None:
         """``{t in [0,1] : a + t(b-a) in simplex}`` by one ratio test."""
-        nums, den = _scaled(a + b)
-        dim = len(a)
-        start = nums[:dim] + (den,)
-        step = tuple(q - p for p, q in zip(nums[:dim], nums[dim:])) + (0,)
+        den, (ints_a, ints_b) = integer_rows((a, b))
+        start = ints_a + (den,)
+        step = tuple(q - p for p, q in zip(ints_a, ints_b)) + (0,)
         low, high = _ZERO, _ONE
         for row in self.affine:
             at, slope = _dot(row, start), _dot(row, step)
@@ -192,25 +199,23 @@ def _eliminate(rows: list[list[int]], cols: int) -> list[int]:
     return pivots
 
 
-def _simplex_kernel(vertices: Sequence[Vector]) -> SimplexKernel | None:
+def _simplex_kernel(den: int, verts: Sequence[Sequence[int]]) -> SimplexKernel | None:
     """Eliminate ``A = [v_0 ... v_k; 1 ... 1]`` once, or ``None`` when the
     vertices are affinely dependent.
 
-    Integer Gauss-Jordan on ``[S A | S]``, with ``S`` the positive diagonal
-    that clears each row's denominators, gives an invertible ``E`` with
-    ``E A = [D; 0]`` for a diagonal ``D`` without zeros, provided every
-    column of ``A`` pivots.  Row ``i < k + 1`` of ``E``, times the sign of
-    ``D[i][i]``, maps ``[x; 1]`` to a positive multiple of the ``i``-th
-    barycentric coordinate; the other rows vanish exactly on the column
-    space of ``A``, whose points ``[x; 1]`` are those of the affine hull.
+    The vertices are integers over ``den > 0``, so integer Gauss-Jordan on
+    ``[den A | I]`` gives an invertible ``E`` with ``E A = [D; 0]`` for a
+    diagonal ``D`` without zeros, provided every column of ``A`` pivots.
+    Row ``i < k + 1`` of ``E``, times the sign of ``D[i][i]``, maps
+    ``[x; 1]`` to a positive multiple of the ``i``-th barycentric
+    coordinate; the other rows vanish exactly on the column space of ``A``,
+    whose points ``[x; 1]`` are those of the affine hull.
     """
-    cols = len(vertices)
-    size = len(vertices[0]) + 1
-    rows = []
-    for i in range(size):
-        entries = [v[i] for v in vertices] if i < size - 1 else [_ONE] * cols
-        nums, scale = _scaled(entries)
-        rows.append(list(nums) + [scale if j == i else 0 for j in range(size)])
+    cols = len(verts)
+    size = len(verts[0]) + 1
+    rows = [list(column) for column in zip(*verts)] + [[den] * cols]
+    for i, row in enumerate(rows):
+        row.extend(1 if j == i else 0 for j in range(size))
     if len(_eliminate(rows, cols)) < cols:
         return None
     functionals = []
@@ -236,12 +241,6 @@ def _check_uniform(points: Sequence[Vector]) -> int:
                 f"mixed vector lengths {len(p)} and {dim} in one point set"
             )
     return dim
-
-
-def _scaled(p: Vector) -> tuple[tuple[int, ...], int]:
-    """Integer numerators and a common positive denominator for ``p``."""
-    den = lcm(*(c.denominator for c in p))
-    return tuple(c.numerator * (den // c.denominator) for c in p), den
 
 
 def hull_membership(
@@ -312,15 +311,16 @@ def extreme_points(points: Iterable[Vector]) -> RationalPolytope:
     dim = _check_uniform(points)
     # The distinct points as integer vectors over one common denominator:
     # these sort in the points' lexicographic order and hash faster.
-    flat, _ = _scaled(tuple(c for p in points for c in p))
-    by_ints = {flat[k * dim : (k + 1) * dim]: p for k, p in enumerate(points)}
+    den, rows = integer_rows(points)
+    by_ints = dict(zip(rows, points))
     ints = sorted(by_ints)
     pts = [by_ints[q] for q in ints]
     if len(pts) <= dim + 1:
-        kernel = _simplex_kernel(pts)
+        kernel = _simplex_kernel(den, ints)
         if kernel is not None:
             simplex = RationalPolytope(dim, tuple(pts))
-            # Keep the kernel where the cached property would store it.
+            # Keep both where the cached properties would store them.
+            vars(simplex)["integer_vertices"] = den, tuple(ints)
             vars(simplex)["simplex_kernel"] = kernel
             return simplex
 
@@ -340,7 +340,7 @@ def extreme_points(points: Iterable[Vector]) -> RationalPolytope:
             if member:
                 break
             c, _ = certificate  # type: ignore[misc]
-            c_nums, _ = _scaled(c)
+            _, (c_nums,) = integer_rows((c,))
             values = [_dot(c_nums, q) for q in ints]
             # The functional's maximizer among the other points, ties going
             # to the lexicographically largest, which is the largest index.
@@ -359,8 +359,10 @@ def extreme_points(points: Iterable[Vector]) -> RationalPolytope:
             is_vertex[best_i] = decided[best_i] = True
         decided[idx] = True
 
-    vertices = tuple(pts[i] for i in range(len(pts)) if is_vertex[i])
-    return RationalPolytope(dim, vertices)
+    keep = [i for i in range(len(pts)) if is_vertex[i]]
+    hull = RationalPolytope(dim, tuple(pts[i] for i in keep))
+    vars(hull)["integer_vertices"] = den, tuple(ints[i] for i in keep)
+    return hull
 
 
 def hull_of_union(
@@ -379,15 +381,15 @@ def hull_of_union(
 
 
 def affine_dim(polytope: RationalPolytope) -> int:
-    """Dimension of the affine hull; 0 for a single point."""
-    origin = polytope.vertices[0]
-    return rank_of([vector_sub(v, origin) for v in polytope.vertices[1:]])
+    """Dimension of the affine hull: the rank of the rows ``[v, 1]``, less 1."""
+    den, rows = polytope.integer_vertices
+    return len(_eliminate([[*v, den] for v in rows], polytope.dim + 1)) - 1
 
 
 def rank_of(vectors: Iterable[Vector]) -> int:
-    """Rank over Q: the number of pivots when the rows, each scaled to
-    integers, are eliminated."""
-    rows = [list(_scaled(v)[0]) for v in vectors]
+    """Rank over Q: the number of pivots when the rows, written as integers
+    over one denominator, are eliminated."""
+    rows = list(integer_rows(vectors)[1])
     if not rows:
         return 0
     return len(_eliminate(rows, len(rows[0])))

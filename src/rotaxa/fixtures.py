@@ -17,14 +17,18 @@ Four families, all at desk scale:
   parallel annular pieces with interval sets along ``e_{2i-1}`` and ``e_{2i}``
   and a zero-rotation separating annulus between levels, wired so the maximal
   chains select one of the two parallel pieces per level.  It realizes ``2^k``
-  blocks (each a ``k``-simplex) on a genus ``2k`` surface.
+  blocks (each a ``k``-simplex) on a genus ``2k`` surface.  A ``k`` whose
+  ``2^k`` chains exceed :data:`~rotaxa.heteroclinic.CHAIN_CAP` (``k >= 14``)
+  raises :class:`~rotaxa.errors.ResourceCapError` before anything is built.
 """
 
 from __future__ import annotations
 
 import re
 
+from . import heteroclinic
 from .conley import ANNULUS, CURVED_SURFACE, DecompositionModel, Subsurface
+from .errors import ResourceCapError
 from .exactgeom import SubspaceBasis, as_vector
 from .heteroclinic import HeteroclinicPoset, relation_edge
 from .markov import (
@@ -184,6 +188,12 @@ def genus2_blocks() -> ModelDocument:
 def exp_family(k: int) -> ModelDocument:
     if k < 1:
         raise ValueError("exp_family needs k >= 1")
+    # 2^k > cap exactly when k reaches the cap's bit length; 2^k is never built.
+    if k >= heteroclinic.CHAIN_CAP.bit_length():
+        raise ResourceCapError(
+            f"exp_family({k}): 2^{k} maximal chains exceed the chain cap "
+            f"of {heteroclinic.CHAIN_CAP}"
+        )
     genus = 2 * k
     dim = 2 * genus
     pieces: list[BasicPieceModel] = []

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import InadmissibleWordError, ResourceCapError
@@ -26,6 +26,7 @@ from .exactgeom import (
     vector_add,
     zero_vector,
 )
+from .simplex import integer_rows
 
 TRIVIAL = "trivial"
 ANNULAR = "annular"
@@ -59,11 +60,8 @@ class MarkovGraph:
     def integer_displacements(self) -> tuple[int, dict[str, tuple[int, ...]]]:
         """The displacements' common denominator ``den`` and each node's
         displacement times ``den``, as integers."""
-        den = lcm(*{c.denominator for _, disp in self.nodes for c in disp})
-        return den, {
-            name: tuple(c.numerator * (den // c.denominator) for c in disp)
-            for name, disp in self.nodes
-        }
+        den, rows = integer_rows(disp for _, disp in self.nodes)
+        return den, dict(zip(self.node_ids, rows))
 
     def successors(self) -> dict[str, list[str]]:
         succ: dict[str, list[str]] = {name: [] for name, _ in self.nodes}

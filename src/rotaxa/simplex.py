@@ -17,7 +17,7 @@ tool.
 
 The tableau holds Python integers only (Edmonds 1967; Bareiss 1968).  The
 rows and the right-hand side are first multiplied by one common ``L``, the
-lcm of all their denominators.  The rational tableau is then kept as an
+lcm of all denominators (:func:`integer_rows`); the tableau is then kept as an
 integer matrix ``M`` over one positive common denominator ``D``, starting
 from ``D = 1``.  A pivot on the entry ``p = M[r][c] > 0`` keeps row ``r``
 and replaces every other row by ``(p * M[i] - M[i][c] * M[r]) // D``, with
@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -66,9 +66,15 @@ class LpResult:
     certificate: tuple[Fraction, ...] | None = None
 
 
-def _integers(values, scale: int) -> list[int]:
-    """``values`` times ``scale``; every denominator must divide ``scale``."""
-    return [a.numerator * (scale // a.denominator) for a in values]
+def integer_rows(vectors: Iterable) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """``(den, rows)`` for rational (or int) vectors: ``rows[i]`` is
+    ``vectors[i]`` times ``den``, the least positive integer that clears
+    every denominator."""
+    vectors = tuple(vectors)
+    den = lcm(*{a.denominator for v in vectors for a in v})
+    return den, tuple(
+        tuple(a.numerator * (den // a.denominator) for a in v) for v in vectors
+    )
 
 
 def solve_lp(
@@ -86,14 +92,11 @@ def solve_lp(
     # with the right-hand side appended as the final entry of each row.
     # Rows are sign-normalized so every rhs is nonnegative; the flips are
     # remembered to unscramble the dual certificate later.
-    scale = lcm(
-        *{a.denominator for row in rows for a in row},
-        *{beta.denominator for beta in rhs},
-    )
+    _, (*int_rows, int_rhs) = integer_rows((*rows, rhs))
     flips = []
     tableau = []
-    for i, (row, beta) in enumerate(zip(rows, _integers(rhs, scale))):
-        entries = _integers(row, scale) + [0] * m + [beta]
+    for i, (row, beta) in enumerate(zip(int_rows, int_rhs)):
+        entries = list(row) + [0] * m + [beta]
         if beta < 0:
             flips.append(-1)
             entries = [-a for a in entries]
@@ -127,8 +130,7 @@ def solve_lp(
         del entries[n:-1]
 
     # Phase 2 objective row, rebuilt from the true costs scaled to integers.
-    cost_scale = lcm(*{c.denominator for c in costs})
-    cost_ints = _integers(costs, cost_scale)
+    cost_scale, (cost_ints,) = integer_rows((costs,))
     obj = [c * den for c in cost_ints]
     obj.append(0)
     for var, entries in zip(basis, tableau):

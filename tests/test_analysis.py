@@ -4,12 +4,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rotaxa.exactgeom as exactgeom
+import rotaxa.markov as markov
+import rotaxa.simplex as simplex
 from conftest import V
 from rotaxa.analysis import (
     CONTAINS_ZERO,
@@ -26,6 +29,7 @@ from rotaxa.analysis import (
 )
 from rotaxa.engine import compute, run_checks
 from rotaxa.exactgeom import (
+    affine_dim,
     as_vector,
     contains_point,
     extreme_points,
@@ -109,6 +113,48 @@ def chain_sets(draw):
             for a, b in pairs
         ]
     return extreme_points(points)
+
+
+class TestVerticesConvertedOnce:
+    @pytest.mark.parametrize(
+        "points, dim, kind",
+        [
+            # A radial segment and a triangle away from the origin.
+            ([V("1/2", 1, "3/2"), V(1, 2, 3)], 1, RADIAL),
+            ([V("1/3", 1), V(2, "1/2"), V(1, 3)], 2, INCONSISTENT),
+        ],
+    )
+    def test_consumers_read_the_stored_integer_vertices(
+        self, monkeypatch, points, dim, kind
+    ):
+        hull = extreme_points(points)
+        assert "integer_vertices" in vars(hull)
+        converted = []
+        integer_rows = simplex.integer_rows
+
+        def counted(vectors):
+            vectors = tuple(vectors)
+            converted.extend(vectors)
+            return integer_rows(vectors)
+
+        for module in (simplex, exactgeom, markov):
+            monkeypatch.setattr(module, "integer_rows", counted)
+        assert hull.simplex_kernel is not None
+        assert affine_dim(hull) == dim
+        assert classify_chain(hull).kind == kind
+        assert len(probe_points(hull, 2)) == len(points) + comb(len(points), 2)
+        # The counter sees conversions: the origin of the membership test.
+        assert zero_vector(len(points[0])) in converted
+        assert not set(hull.vertices) & set(converted)
+
+    def test_stored_rows_are_the_vertices_over_one_denominator(self):
+        # A square with an inner point: the LP path, not a simplex.
+        square = [V("1/2", 1), V(2, 1), V("1/2", "5/3"), V(2, "5/3"), V(1, "4/3")]
+        hull = extreme_points(square)
+        den, rows = vars(hull)["integer_vertices"]
+        assert len(rows) == len(hull.vertices) == 4
+        for vertex, row in zip(hull.vertices, rows):
+            assert list(row) == [a * den for a in vertex]
 
 
 class TestClassifyChainOracle:

@@ -32,6 +32,9 @@ from rotaxa.serialize import (
     result_to_dict,
 )
 
+NO_SUCH_FILE = "No such file or directory"
+
+
 def one_node_loop(displacement):
     return {"nodes": [{"id": "o", "displacement": displacement}], "edges": [["o", "o"]]}
 
@@ -557,3 +560,42 @@ class TestCli:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["compute", str(path)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, target, message",
+        [
+            (["compute", "genus2_full", "--out"], "absent/x.json", NO_SUCH_FILE),
+            (["compute", "genus2_full", "--csv"], "absent/x.csv", NO_SUCH_FILE),
+            (["fixture", "genus2_full", "--write"], "absent/m.json", NO_SUCH_FILE),
+            (["compute", "genus2_full", "--out"], "", "Is a directory"),
+        ],
+    )
+    def test_unwritable_output_exit_code(self, tmp_path, capsys, argv, target, message):
+        path = tmp_path / target
+        assert main([*argv, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"invalid input: cannot write {path}: {message}\n"
+        # Files are written before anything goes to stdout.
+        assert captured.out == ""
+
+    def test_unknown_fixture_message(self, capsys):
+        assert main(["fixture", "nope"]) == 2
+        assert capsys.readouterr().err == "invalid input: no such file or fixture: 'nope'\n"
+        assert main(["compute", "nope"]) == 2
+        assert capsys.readouterr().err == "invalid input: no such file or fixture: 'nope'\n"
+
+    @pytest.mark.parametrize("k", [14, 10**6])
+    @pytest.mark.parametrize("command", ["compute", "fixture"])
+    def test_exp_family_cap_exit_code(self, capsys, command, k):
+        # 2^k maximal chains pass the chain cap of 10,000 from k = 14 on.
+        start = time.perf_counter()
+        assert main([command, f"exp_family({k})"]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            f"resource cap: exp_family({k}): 2^{k} maximal chains exceed "
+            "the chain cap of 10000\n"
+        )
+
+    def test_exp_family_below_cap(self, capsys):
+        assert main(["fixture", "exp_family(13)"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["pieces"]) == 3 * 13

@@ -236,3 +236,31 @@ def test_segment_interval_pivot_count_is_pinned(pivot_count):
     b = (F(0), F(2), F(0))
     assert segment_interval(hull, a, b) == (F(1, 4), F(3, 4))
     assert pivot_count[0] == 24
+
+
+def _prime_factors(n):
+    p = 2
+    while n > 1:
+        if n % p == 0:
+            yield p
+            while n % p == 0:
+                n //= p
+        p += 1
+
+
+coordinates = st.one_of(
+    st.integers(-9, 9), st.fractions(min_value=-9, max_value=9, max_denominator=12)
+)
+
+
+@given(st.lists(st.lists(coordinates, min_size=3, max_size=3), max_size=4))
+def test_integer_rows_scales_by_the_least_common_denominator(vectors):
+    den, rows = simplex.integer_rows(iter(vectors))
+    assert den >= 1 and len(rows) == len(vectors)
+    for vector, row in zip(vectors, rows):
+        assert all(type(value) is int for value in row)
+        assert list(row) == [a * den for a in vector]
+    # Any smaller scale that clears every denominator would be a proper
+    # divisor of den, so it suffices that no den // p does.
+    for p in _prime_factors(den):
+        assert any(F(a * (den // p)).denominator != 1 for v in vectors for a in v)
