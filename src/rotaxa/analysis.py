@@ -27,6 +27,7 @@ from .exactgeom import (
     Vector,
     affine_dim,
     contains_point,
+    homogeneous,
     hull_of_union,
     midpoint,
     segment_uncovered_gap,
@@ -191,7 +192,8 @@ def convexity_probe(
         raise ValueError("empty union")
     hull = hull_of_union(union)
     for point in probe_points(hull, density):
-        if not any(contains_point(member, point) for member in union):
+        y = homogeneous(point)
+        if not any(contains_point(member, y) for member in union):
             return False, point
     return True, None
 

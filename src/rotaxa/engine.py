@@ -27,12 +27,22 @@ from .conley import (
     enumerate_blocks,
     support_span,
 )
-from .errors import ModelValidationError
-from .exactgeom import RationalPolytope, contains_point, vertex_outside_span
+from .errors import ModelValidationError, ResourceCapError
+from .exactgeom import (
+    RationalPolytope,
+    contains_point,
+    homogeneous,
+    vertex_outside_span,
+)
 from .heteroclinic import Chain, chain_rotation_set, maximal_nontrivial_chains
 from .markov import rotation_sets
 from .model import ModelDocument, validate_model, validate_rotation_data
 from .oracle import sample_chain_averages
+
+# Oracle samples past which the chain-sampling check raises ResourceCapError
+# before drawing any.  Every sample is kept until it is tested: 10^5 samples
+# of genus2_full take seconds and 27 MiB more peak memory than 10^3.
+SAMPLE_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -262,7 +272,16 @@ def _interior(computation: Computation) -> CheckOutcome:
 def _chain_sampling(
     computation: Computation, total_samples: int, seed: int
 ) -> CheckOutcome:
-    """Seeded chain averages must land in their chain polytope and blocks."""
+    """Seeded chain averages must land in their chain polytope and blocks.
+
+    Each sample is converted to integers once and tested in that form
+    against its chain polytope and every block that pools the chain.
+    """
+    if total_samples > SAMPLE_CAP:
+        raise ResourceCapError(
+            f"chain_sampling: more than {SAMPLE_CAP} oracle samples "
+            f"({total_samples} requested)"
+        )
     model = computation.model
     table = model.pieces_by_id()
     chains = computation.chains
@@ -282,14 +301,15 @@ def _chain_sampling(
         samples = sample_chain_averages(data.chain, table, count, seed + offset)
         for sample in samples:
             tested += 1
-            if not contains_point(data.polytope, sample):
+            point = homogeneous(sample)
+            if not contains_point(data.polytope, point):
                 failures.append(
                     f"sample {tuple(str(c) for c in sample)} outside chain "
                     f"{'<'.join(data.chain)}"
                 )
                 continue
             for block in blocks_by_chain.get(data.chain, ()):
-                if not contains_point(block.polytope, sample):
+                if not contains_point(block.polytope, point):
                     failures.append(
                         f"sample {tuple(str(c) for c in sample)} outside block "
                         f"{block.key.label()}"

@@ -16,7 +16,10 @@ chain polytope and block of the fixtures is) answers membership and segment
 queries from a :class:`SimplexKernel`: integer rows, eliminated once per
 polytope and cached on it, that give barycentric coordinates and the affine
 hull equations, so each query is a handful of integer dot products.  Other
-polytopes answer them by exact rational linear programs.  A point set that
+polytopes answer them by exact linear programs on the vertices' homogeneous
+integer columns ``[v·den; den]``.  Either way a query point is read as its
+own homogeneous integer column (:func:`homogeneous`), which a caller that
+tests one point against several polytopes converts once.  A point set that
 the elimination shows to be affinely independent is its own vertex set; any
 other hull is LP-certified.
 """
@@ -133,9 +136,8 @@ class SimplexKernel:
     barycentric: tuple[tuple[int, ...], ...]
     affine: tuple[tuple[int, ...], ...]
 
-    def contains(self, x: Vector) -> bool:
-        den, (nums,) = integer_rows((x,))
-        y = nums + (den,)
+    def contains(self, y: Sequence[int]) -> bool:
+        """Membership of the point whose homogeneous column is ``y``."""
         return all(_dot(row, y) == 0 for row in self.affine) and all(
             _dot(row, y) >= 0 for row in self.barycentric
         )
@@ -226,6 +228,27 @@ def _simplex_kernel(den: int, verts: Sequence[Sequence[int]]) -> SimplexKernel |
     return SimplexKernel(tuple(functionals[:cols]), tuple(functionals[cols:]))
 
 
+class HomogeneousPoint(tuple):
+    """A rational point ``x`` as its homogeneous integer column
+    ``[x·den; den]``, ``den > 0``: the form every exact membership test
+    reads.  Build it with :func:`homogeneous`."""
+
+    __slots__ = ()
+
+
+def homogeneous(x: Vector) -> HomogeneousPoint:
+    """``x`` as ``[x·den; den]`` for the least positive ``den`` that clears
+    its denominators."""
+    den, (nums,) = integer_rows((x,))
+    return HomogeneousPoint((*nums, den))
+
+
+def _columns(polytope: RationalPolytope) -> list[tuple[int, ...]]:
+    """The homogeneous integer columns of the polytope's vertices."""
+    den, rows = polytope.integer_vertices
+    return [(*row, den) for row in rows]
+
+
 @dataclass(frozen=True)
 class SubspaceBasis:
     """A (possibly empty) list of spanning vectors for a rational subspace."""
@@ -244,38 +267,42 @@ def _check_uniform(points: Sequence[Vector]) -> int:
 
 
 def hull_membership(
-    points: Sequence[Vector], x: Vector
-) -> tuple[bool, tuple[Vector, Fraction] | None]:
-    """Decide ``x in conv(points)`` exactly.
+    columns: Sequence[Sequence[int]], y: Sequence[int]
+) -> tuple[bool, tuple[tuple[int, ...], int] | None]:
+    """Decide ``x in conv(points)`` exactly, by one feasibility LP.
 
-    Returns ``(True, None)`` on membership.  On failure returns
-    ``(False, (c, c0))`` where the functional satisfies ``c . p <= c0`` for
-    every hull point and ``c . x > c0`` — an LP-certified separation.
+    Each point ``p``, and ``x``, is given as a homogeneous integer column
+    ``[p·den; den]`` over a positive ``den`` of its own (the polytope's
+    ``integer_vertices`` or :func:`homogeneous` give them); a positive
+    multiple of a column is the same point, and the LP takes the same
+    pivots.  Returns ``(True, None)`` on membership.  On failure returns
+    ``(False, (c, c0))``, integers, where the functional satisfies
+    ``c . p <= c0`` for every hull point and ``c . x > c0`` — an
+    LP-certified separation.
     """
-    dim = _check_uniform(list(points) + [x])
-    rows = [[p[k] for p in points] for k in range(dim)]
-    rows.append([_ONE] * len(points))
-    rhs = list(x) + [_ONE]
-    costs = [_ZERO] * len(points)
-    res = solve_lp(costs, rows, rhs)
+    dim = _check_uniform([*columns, y]) - 1
+    rows = list(zip(*columns)) or [()] * len(y)
+    res = solve_lp([0] * len(columns), rows, y)
     if res.status == OPTIMAL:
         return True, None
-    y = res.certificate
-    assert y is not None
-    return False, (tuple(y[:dim]), -y[dim])
+    certificate = res.certificate
+    assert certificate is not None
+    return False, (certificate[:dim], -certificate[dim])
 
 
-def contains_point(polytope: RationalPolytope, x: Vector) -> bool:
+def contains_point(polytope: RationalPolytope, x: Vector | HomogeneousPoint) -> bool:
     """Exact membership of ``x`` in the polytope: sign tests on a simplex,
-    a feasibility LP otherwise."""
-    if len(x) != polytope.dim:
+    a feasibility LP otherwise.  ``x`` may be given as a
+    :class:`HomogeneousPoint`, converted once for several tests."""
+    y = x if isinstance(x, HomogeneousPoint) else homogeneous(x)
+    if len(y) != polytope.dim + 1:
         raise DimensionMismatchError(
-            f"point of length {len(x)} against polytope of dimension {polytope.dim}"
+            f"point of length {len(y) - 1} against polytope of dimension {polytope.dim}"
         )
     kernel = polytope.simplex_kernel
     if kernel is None:
-        return hull_membership(polytope.vertices, x)[0]
-    return kernel.contains(x)
+        return hull_membership(_columns(polytope), y)[0]
+    return kernel.contains(y)
 
 
 def extreme_points(points: Iterable[Vector]) -> RationalPolytope:
@@ -326,6 +353,7 @@ def extreme_points(points: Iterable[Vector]) -> RationalPolytope:
 
     inner: list[int] = [0, len(pts) - 1]  # lexicographic extremes are vertices
     inner_set = set(inner)
+    columns = [(*q, den) for q in ints]
     is_vertex = [False] * len(pts)
     decided = [False] * len(pts)
     is_vertex[0] = is_vertex[-1] = True
@@ -336,12 +364,13 @@ def extreme_points(points: Iterable[Vector]) -> RationalPolytope:
             continue
         while True:
             # Every point of ``inner`` is decided, so ``p`` is not among them.
-            member, certificate = hull_membership([pts[i] for i in inner], p)
+            member, certificate = hull_membership(
+                [columns[i] for i in inner], columns[idx]
+            )
             if member:
                 break
             c, _ = certificate  # type: ignore[misc]
-            _, (c_nums,) = integer_rows((c,))
-            values = [_dot(c_nums, q) for q in ints]
+            values = [_dot(c, q) for q in ints]
             # The functional's maximizer among the other points, ties going
             # to the lexicographically largest, which is the largest index.
             best_i = max(
@@ -436,22 +465,23 @@ def _segment_interval_lp(
 ) -> tuple[Fraction, Fraction] | None:
     """:func:`segment_interval` by one minimizing and one maximizing LP over
     the joint (weights, t) system; valid for every polytope."""
-    verts = polytope.vertices
+    den, verts = polytope.integer_vertices
     n = len(verts)
     direction = vector_sub(b, a)
-    # Columns: n hull weights, then t, then the slack for t <= 1.
-    rows = []
-    for k in range(polytope.dim):
-        rows.append([v[k] for v in verts] + [-direction[k], _ZERO])
-    rows.append([_ONE] * n + [_ZERO, _ZERO])
-    rows.append([_ZERO] * n + [_ONE, _ONE])
-    rhs = list(a) + [_ONE, _ONE]
+    # Columns: n hull weights (each vertex's homogeneous column, so a
+    # weight is den times the convex one), then t, then the slack for t <= 1.
+    rows = [
+        [*coordinate, -step, 0] for coordinate, step in zip(zip(*verts), direction)
+    ]
+    rows.append([den] * n + [0, 0])
+    rows.append([0] * n + [1, 1])
+    rhs = [*a, 1, 1]
 
-    cost_low = [_ZERO] * n + [_ONE, _ZERO]
+    cost_low = [0] * n + [1, 0]
     low = solve_lp(cost_low, rows, rhs)
     if low.status == INFEASIBLE:
         return None
-    cost_high = [_ZERO] * n + [-_ONE, _ZERO]
+    cost_high = [0] * n + [-1, 0]
     high = solve_lp(cost_high, rows, rhs)
     assert low.status == OPTIMAL and high.status == OPTIMAL
     assert low.value is not None and high.value is not None

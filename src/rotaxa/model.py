@@ -23,7 +23,13 @@ from .conley import (
     chain_support,
     validate_decomposition,
 )
-from .exactgeom import RationalPolytope, contains_point, rank_of, zero_vector
+from .exactgeom import (
+    RationalPolytope,
+    contains_point,
+    homogeneous,
+    rank_of,
+    zero_vector,
+)
 from .heteroclinic import Chain, HeteroclinicPoset, validate_poset
 from .markov import TRIVIAL, BasicPieceModel, validate_piece
 
@@ -135,7 +141,7 @@ def validate_rotation_data(
                 f"trivial piece {piece.id!r} rotates outside every chain set"
             )
 
-    zero = zero_vector(model.dim)
+    zero = homogeneous(zero_vector(model.dim))
     if chain_sets and not any(
         contains_point(cs, zero) for cs in chain_sets.values()
     ):

@@ -15,35 +15,43 @@ unconditionally.  Problem sizes here are tiny (rows = ambient dimension plus
 one or two, columns = a few hundred at most), so a dense tableau is the right
 tool.
 
-The tableau holds Python integers only (Edmonds 1967; Bareiss 1968).  The
-rows and the right-hand side are first multiplied by one common ``L``, the
-lcm of all denominators (:func:`integer_rows`); the tableau is then kept as an
-integer matrix ``M`` over one positive common denominator ``D``, starting
-from ``D = 1``.  A pivot on the entry ``p = M[r][c] > 0`` keeps row ``r``
-and replaces every other row by ``(p * M[i] - M[i][c] * M[r]) // D``, with
-``p`` as the new ``D``.  Every entry of ``M`` is then a minor of the scaled
-input, and Sylvester's identity makes the division exact.
+The tableau holds Python integers only (Edmonds 1967; Bareiss 1968).  Each
+column of the rows, and the right-hand side, enters it as its own primitive
+integer vector: scaled by that column's own denominators, then divided by its
+gcd (:func:`_primitive`).  The tableau is then kept as an integer matrix
+``M`` over one positive common denominator ``D``, starting from ``D = 1``.
+A pivot on the entry ``p = M[r][c] > 0`` keeps row ``r`` and replaces every
+other row by ``(p * M[i] - M[i][c] * M[r]) // D``, with ``p`` as the new
+``D``.  Every entry of ``M`` is then a minor of the scaled input, and
+Sylvester's identity makes the division exact.
 
-The scaling does not change the pivot sequence.  Multiplying all rows by the
-same ``L > 0`` scales each basic row by a positive factor, and the phase 1
-reduced costs by ``L``.  So every reduced-cost sign, every ratio of the
-ratio test and every tie is the one the rational tableau would see, and
-Bland's rule picks the same pivots.  Once phase 1 has moved every basic
-variable onto a structural column, the structural part of the tableau
-equals the unscaled one, so solutions and optimal values are the same
-rationals as well.
+The scaling does not change the pivot sequence.  Multiplying column ``j``
+by ``s_j > 0`` multiplies its reduced cost by ``s_j`` (phase 1 and phase 2
+alike, the costs being read in the scaled variables ``x_j / s_j``), and
+scales each basic row by a positive factor; in the ratio test it multiplies
+every ratio by the same factor ``s_b / s_j``, where ``s_b > 0`` scales the
+right-hand side.  So every reduced-cost sign, every comparison of the ratio
+test and every tie is the one the rational tableau would see, and Bland's
+rule picks the same pivots.  The phase 1 duals ``y`` do not change either:
+they solve ``y . A_j = 0`` on the basic structural columns, which a positive
+scaling leaves as it is, and ``y_i = 1`` on the basic artificial columns,
+which are never scaled.  Solutions are unscaled exactly, ``x_j = s_j x'_j /
+s_b``.  For cycle means this keeps the entries small: a mean is written as
+its own column ``[total; length]``, where one common denominator would be
+the lcm of every cycle length.
 
 When a problem is infeasible we also report a Farkas certificate: a vector
-``y`` with ``y . A_j <= 0`` for every column ``j`` and ``y . b > 0``.  The
-geometry layer turns that certificate into a separating functional, which is
-what makes the convex-hull routines output-sensitive.
+``y`` with ``y . A_j <= 0`` for every column ``j`` and ``y . b > 0``: the
+phase 1 duals, given as the primitive integer vector they are a positive
+multiple of.  The geometry layer turns that certificate into a separating
+functional, which is what makes the convex-hull routines output-sensitive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 OPTIMAL = "optimal"
@@ -82,7 +90,10 @@ def solve_lp(
     rows: Sequence[Sequence[Fraction]],
     rhs: Sequence[Fraction],
 ) -> LpResult:
-    """Minimize ``costs . x`` subject to ``rows @ x == rhs`` and ``x >= 0``."""
+    """Minimize ``costs . x`` subject to ``rows @ x == rhs`` and ``x >= 0``.
+
+    Entries may be ints or Fractions.
+    """
     n = len(costs)
     m = len(rows)
     if any(len(row) != n for row in rows) or len(rhs) != m:
@@ -90,13 +101,16 @@ def solve_lp(
 
     # Tableau: m constraint rows over n structural + m artificial columns,
     # with the right-hand side appended as the final entry of each row.
-    # Rows are sign-normalized so every rhs is nonnegative; the flips are
-    # remembered to unscramble the dual certificate later.
-    _, (*int_rows, int_rhs) = integer_rows((*rows, rhs))
+    # Each column, and the rhs, is entered as its own primitive integer
+    # vector (see the module docstring).  Rows are sign-normalized so every
+    # rhs is nonnegative; the flips are remembered to unscramble the
+    # certificate.
+    columns = [_primitive([row[j] for row in rows]) for j in range(n)]
+    int_rhs, rhs_d, rhs_g = _primitive(rhs)
     flips = []
     tableau = []
-    for i, (row, beta) in enumerate(zip(int_rows, int_rhs)):
-        entries = list(row) + [0] * m + [beta]
+    for i, beta in enumerate(int_rhs):
+        entries = [ints[i] for ints, _, _ in columns] + [0] * m + [beta]
         if beta < 0:
             flips.append(-1)
             entries = [-a for a in entries]
@@ -118,37 +132,54 @@ def solve_lp(
     if status == UNBOUNDED:  # pragma: no cover - phase 1 is always bounded
         raise AssertionError("phase 1 cannot be unbounded")
     if obj[-1] < 0:
-        # Duals from the artificial reduced costs: cbar_{a_i} = 1 - y_i.
-        # The artificial columns start as the identity, unscaled, so the
-        # scaling leaves these reduced costs as the rational tableau has them.
-        y = tuple(flips[i] * Fraction(den - obj[n + i], den) for i in range(m))
-        return LpResult(status=INFEASIBLE, certificate=y)
+        # Duals from the artificial reduced costs: cbar_{a_i} = 1 - y_i, so
+        # y_i = (den - obj[n + i]) / den, and den > 0 after phase 1.
+        y = [flips[i] * (den - obj[n + i]) for i in range(m)]
+        g = gcd(*y)
+        return LpResult(status=INFEASIBLE, certificate=tuple(a // g for a in y))
 
     den = _expel_artificials(tableau, basis, n, den)
-    # No artificial column can enter again, so phase 2 drops them.
-    for entries in tableau:
-        del entries[n:-1]
+    if any(costs):
+        # No artificial column can enter again, so phase 2 drops them.
+        for entries in tableau:
+            del entries[n:-1]
+        # Phase 2 objective row: the costs of the scaled variables, times a
+        # positive integer.
+        cost_ints, _, _ = _primitive(
+            [c * Fraction(d, g) if c else 0 for c, (_, d, g) in zip(costs, columns)]
+        )
+        obj = [c * den for c in cost_ints]
+        obj.append(0)
+        for var, entries in zip(basis, tableau):
+            c = cost_ints[var]
+            if c:
+                obj = [o - c * a for o, a in zip(obj, entries)]
+        status, den = _iterate(tableau, obj, basis, n, den)
+        if status == UNBOUNDED:
+            return LpResult(status=UNBOUNDED)
 
-    # Phase 2 objective row, rebuilt from the true costs scaled to integers.
-    cost_scale, (cost_ints,) = integer_rows((costs,))
-    obj = [c * den for c in cost_ints]
-    obj.append(0)
-    for var, entries in zip(basis, tableau):
-        c = cost_ints[var]
-        if c:
-            obj = [o - c * a for o, a in zip(obj, entries)]
-    status, den = _iterate(tableau, obj, basis, n, den)
-    if status == UNBOUNDED:
-        return LpResult(status=UNBOUNDED)
-
+    # Unscale: column j was multiplied by d / g, the rhs by rhs_d / rhs_g.
     solution = [Fraction(0)] * n
     for var, entries in zip(basis, tableau):
-        solution[var] = Fraction(entries[-1], den)
-    value = Fraction(
-        sum(cost_ints[var] * entries[-1] for var, entries in zip(basis, tableau)),
-        den * cost_scale,
-    )
+        _, d, g = columns[var]
+        solution[var] = Fraction(entries[-1] * d * rhs_g, den * g * rhs_d)
+    value = sum((costs[j] * solution[j] for j in basis if costs[j]), Fraction(0))
     return LpResult(status=OPTIMAL, value=value, solution=tuple(solution))
+
+
+def _primitive(values: Sequence) -> tuple[list[int], int, int]:
+    """``(ints, d, g)``: ``values`` times ``d / g > 0`` is the primitive
+    integer vector ``ints``; ``d`` clears every denominator and ``g`` is the
+    gcd left after that (1 for a zero vector)."""
+    if {type(a) for a in values} <= {int}:
+        d, ints = 1, list(values)
+    else:
+        d = lcm(*[a.denominator for a in values])
+        ints = [a.numerator * (d // a.denominator) for a in values]
+    g = gcd(*ints) or 1
+    if g > 1:
+        ints = [a // g for a in ints]
+    return ints, d, g
 
 
 def _iterate(tableau, obj, basis, allowed, den) -> tuple[str, int]:

@@ -33,6 +33,7 @@ from rotaxa.exactgeom import (
     as_vector,
     contains_point,
     extreme_points,
+    homogeneous,
     hull_membership,
     midpoint,
     vector_add,
@@ -163,7 +164,10 @@ class TestClassifyChainOracle:
     def test_radial_iff_positive_multiples_of_first_vertex(self, chain_set):
         result = classify_chain(chain_set)
         first = chain_set.vertices[0]
-        if hull_membership(chain_set.vertices, zero_vector(chain_set.dim))[0]:
+        if hull_membership(
+            [homogeneous(v) for v in chain_set.vertices],
+            homogeneous(zero_vector(chain_set.dim)),
+        )[0]:
             assert result.kind == CONTAINS_ZERO
         elif all(positive_multiple(v, first) for v in chain_set.vertices):
             assert result.kind == RADIAL

@@ -22,6 +22,7 @@ from rotaxa.exactgeom import (
     as_vector,
     contains_point,
     extreme_points,
+    homogeneous,
     hull_membership,
     in_span,
     rank_of,
@@ -125,7 +126,9 @@ def brute_vertices(points):
         p
         for p in unique
         if len(unique) == 1
-        or not hull_membership([q for q in unique if q != p], p)[0]
+        or not hull_membership(
+            [homogeneous(q) for q in unique if q != p], homogeneous(p)
+        )[0]
     )
 
 
@@ -250,7 +253,9 @@ class TestSimplexKernel:
         assert len(poly.vertices) == len(verts)
         assert poly.simplex_kernel is not None
         for x in queries:
-            assert contains_point(poly, x) == hull_membership(poly.vertices, x)[0]
+            assert contains_point(poly, x) == hull_membership(
+                [homogeneous(v) for v in poly.vertices], homogeneous(x)
+            )[0]
         for a in queries:
             for b in queries:
                 assert segment_interval(poly, a, b) == _segment_interval_lp(

@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from conftest import V
-from rotaxa import oracle
-from rotaxa.engine import compute
+from rotaxa import exactgeom, oracle, simplex
+from rotaxa.engine import compute, run_checks
 from rotaxa.errors import ResourceCapError
-from rotaxa.exactgeom import contains_point
+from rotaxa.exactgeom import contains_point, extreme_points, zero_vector
 from rotaxa.fixtures import genus2_full, get_fixture
 from rotaxa.markov import (
     CURVED,
@@ -178,3 +180,51 @@ class TestSampling:
         one = sample_chain_averages(("p",), {"p": piece}, 50, seed=11)
         two = sample_chain_averages(("p",), {"p": piece}, 50, seed=11)
         assert one == two
+
+
+class TestChainSamplingCheck:
+    @pytest.mark.parametrize("block_kind", ["simplex", "cube"])
+    def test_each_sample_is_converted_once(self, monkeypatch, block_kind):
+        computation = compute(genus2_full())
+        (block,) = computation.blocks
+        if block_kind == "cube":
+            # A 16-vertex block around the chain set: the LP path.
+            cube = extreme_points(product((-1, 2), repeat=4))
+            computation = replace(computation, blocks=(replace(block, polytope=cube),))
+        converted = []
+        integer_rows = simplex.integer_rows
+
+        def counted(vectors):
+            vectors = tuple(vectors)
+            converted.extend(vectors)
+            return integer_rows(vectors)
+
+        for module in (simplex, exactgeom):
+            monkeypatch.setattr(module, "integer_rows", counted)
+        (outcome,) = run_checks(computation, oracle_samples=40)
+        # Each sample is tested against its chain and its block.
+        assert outcome.passed and outcome.info["samples"] == 40
+        assert len(converted) == 40
+
+    @pytest.mark.parametrize("shrunk", ["chain", "block"])
+    def test_failure_messages(self, shrunk):
+        computation = compute(genus2_full())
+        origin = extreme_points([zero_vector(4)])
+        (chain,), (block,) = computation.chains, computation.blocks
+        if shrunk == "chain":
+            computation = replace(
+                computation, chains=(replace(chain, polytope=origin),)
+            )
+            where = "chain H1<H2"
+        else:
+            computation = replace(
+                computation, blocks=(replace(block, polytope=origin),)
+            )
+            where = "block T1+T2|0|0"
+        (outcome,) = run_checks(computation, oracle_samples=3, seed=7)
+        assert not outcome.passed
+        assert outcome.details == (
+            f"sample ('7/12', '7/24', '1/8', '1/8') outside {where}",
+            f"sample ('0', '0', '61/64', '61/64') outside {where}",
+            f"sample ('9/64', '0', '55/64', '0') outside {where}",
+        )

@@ -440,6 +440,29 @@ class TestCli:
         assert main(["compute", "genus2_full"]) == 3
         assert "resource cap" in capsys.readouterr().err
 
+    def test_oracle_sample_cap_exit_code(self, capsys, monkeypatch):
+        from rotaxa import engine
+
+        def no_draws(*args):
+            raise AssertionError("a sample was drawn past the cap")
+
+        monkeypatch.setattr(engine, "SAMPLE_CAP", 10)
+        monkeypatch.setattr(engine, "sample_chain_averages", no_draws)
+        assert main(["check", "genus2_full", "--oracle-samples", "11"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (
+            "resource cap: chain_sampling: more than 10 oracle samples "
+            "(11 requested)" in captured.err
+        )
+
+    def test_oracle_samples_at_cap(self, capsys, monkeypatch):
+        from rotaxa import engine
+
+        monkeypatch.setattr(engine, "SAMPLE_CAP", 10)
+        assert main(["check", "genus2_full", "--oracle-samples", "10"]) == 0
+        assert '"samples":10,' in capsys.readouterr().out
+
     def test_deep_relation_path_computes(self, tmp_path, capsys):
         # 1200 pieces in one relation path, deeper than the default
         # recursion limit; the trivial connectors drop out of the chains.

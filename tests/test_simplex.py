@@ -8,13 +8,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rotaxa.simplex as simplex
+from rotaxa import exactgeom, markov
 from rotaxa.exactgeom import extreme_points, segment_interval
+from rotaxa.markov import BasicPieceModel, graph_from_edges, piece_rotation_set
 from rotaxa.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 
 F = Fraction
@@ -264,3 +267,129 @@ def test_integer_rows_scales_by_the_least_common_denominator(vectors):
     # divisor of den, so it suffices that no den // p does.
     for p in _prime_factors(den):
         assert any(F(a * (den // p)).denominator != 1 for v in vectors for a in v)
+
+
+scales = st.builds(F, st.integers(1, 12), st.integers(1, 12))
+
+
+def _recorded_solve(costs, rows, rhs):
+    """``solve_lp``'s result and the ``(row, col)`` of every pivot it took."""
+    pivots = []
+    original = simplex._pivot
+
+    def recording(tableau, obj, basis, row, col, den):
+        pivots.append((row, col))
+        return original(tableau, obj, basis, row, col, den)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplex, "_pivot", recording)
+        return solve_lp(costs, rows, rhs), pivots
+
+
+def _with_ints(values):
+    """The same rationals, the integral ones as ``int``."""
+    return [int(a) if a.denominator == 1 else a for a in values]
+
+
+@settings(max_examples=300)
+@given(small_lps(), st.data())
+def test_column_scaling_keeps_pivots_and_certificates(lp, data):
+    # A column scaled by s_j > 0 (its cost too) and a rhs scaled by s_b > 0
+    # state the same LP in the variables x_j * s_b / s_j.
+    costs, rows, rhs = lp
+    n = len(costs)
+    column_scales = data.draw(st.lists(scales, min_size=n, max_size=n))
+    rhs_scale = data.draw(scales)
+    res, pivots = _recorded_solve(costs, rows, rhs)
+    scaled = _recorded_solve(
+        [c * s for c, s in zip(costs, column_scales)],
+        [[a * s for a, s in zip(row, column_scales)] for row in rows],
+        [b * rhs_scale for b in rhs],
+    )
+    as_ints = _recorded_solve(
+        _with_ints(costs), [_with_ints(row) for row in rows], _with_ints(rhs)
+    )
+    for other, other_pivots in (scaled, as_ints):
+        assert other.status == res.status
+        assert other_pivots == pivots
+        assert other.certificate == res.certificate
+    if res.status == OPTIMAL:
+        other = scaled[0]
+        assert other.value / rhs_scale == res.value
+        assert [
+            x * s / rhs_scale for x, s in zip(other.solution, column_scales)
+        ] == list(res.solution)
+        assert (as_ints[0].value, as_ints[0].solution) == (res.value, res.solution)
+    elif res.status == INFEASIBLE:
+        assert all(type(a) is int for a in res.certificate)
+        assert gcd(*res.certificate) == 1
+
+
+# A cycle-mean piece with cycles of many lengths: a 14-node ring with 16
+# chords, as in the benchmark's random pieces.  Its 35 hull vertices cost
+# 123 LPs and 935 pivots, and Bland's rule fixes both counts.
+MIXED_LENGTH_NODES = {
+    "r00": (-2, -2, 2, -3), "r01": (-3, -3, -3, -3), "r02": (-3, 2, -3, -1),
+    "r03": (-1, -2, 3, -2), "r04": (2, -2, 1, 2), "r05": (-3, 0, 1, -3),
+    "r06": (3, -2, -2, -3), "r07": (-3, -1, 1, 2), "r08": (2, 2, -3, -1),
+    "r09": (-1, 0, -3, -1), "r10": (0, 1, 3, 1), "r11": (2, -3, -1, 3),
+    "r12": (0, 3, 1, 2), "r13": (-2, 0, -2, -3),
+}
+MIXED_LENGTH_EDGES = [
+    ("r00", "r06"), ("r00", "r09"), ("r00", "r13"), ("r01", "r00"),
+    ("r01", "r12"), ("r02", "r05"), ("r03", "r06"), ("r03", "r10"),
+    ("r03", "r13"), ("r04", "r02"), ("r04", "r09"), ("r05", "r10"),
+    ("r05", "r11"), ("r05", "r13"), ("r06", "r12"), ("r07", "r08"),
+    ("r08", "r02"), ("r08", "r04"), ("r09", "r01"), ("r09", "r03"),
+    ("r10", "r00"), ("r10", "r07"), ("r11", "r00"), ("r11", "r01"),
+    ("r11", "r12"), ("r12", "r05"), ("r12", "r10"), ("r13", "r03"),
+    ("r13", "r04"), ("r13", "r09"),
+]
+
+
+@pytest.fixture
+def mixed_length_hull(monkeypatch):
+    """Build the piece's hull; report its LPs, pivots, conversions through
+    ``integer_rows`` and the bit length of every pivot-row entry."""
+    piece = BasicPieceModel(
+        id="P",
+        classification="curved",
+        graph=graph_from_edges(MIXED_LENGTH_NODES.items(), MIXED_LENGTH_EDGES),
+    )
+    counts = {"lps": 0, "pivots": 0, "conversions": 0, "row_bits": []}
+    solve, pivot, integer_rows = solve_lp, simplex._pivot, simplex.integer_rows
+
+    def counted_solve(*args):
+        counts["lps"] += 1
+        return solve(*args)
+
+    def recording_pivot(tableau, obj, basis, row, col, den):
+        counts["pivots"] += 1
+        counts["row_bits"].extend(abs(a).bit_length() for a in tableau[row])
+        return pivot(tableau, obj, basis, row, col, den)
+
+    def counted_rows(vectors):
+        counts["conversions"] += 1
+        return integer_rows(vectors)
+
+    monkeypatch.setattr(exactgeom, "solve_lp", counted_solve)
+    monkeypatch.setattr(simplex, "_pivot", recording_pivot)
+    for module in (simplex, exactgeom, markov):
+        monkeypatch.setattr(module, "integer_rows", counted_rows)
+    hull = piece_rotation_set(piece)
+    assert len(hull.vertices) == 35
+    return counts
+
+
+def test_cycle_mean_hull_lp_and_pivot_counts_are_pinned(mixed_length_hull):
+    assert (mixed_length_hull["lps"], mixed_length_hull["pivots"]) == (123, 935)
+
+
+def test_cycle_mean_hull_lps_read_small_integer_columns(mixed_length_hull):
+    # One conversion of the displacements and one of the cycle means, none
+    # per LP: each LP reads the hull's homogeneous integer columns.
+    assert mixed_length_hull["conversions"] == 2
+    # Each column is its own primitive vector [total; length].  Scaled by
+    # the lcm of all cycle lengths instead, the pivot rows reached 78 bits
+    # (median 32) on this piece, and 87 bits on the benchmark's pieces.
+    assert max(mixed_length_hull["row_bits"]) <= 16
