@@ -21,7 +21,12 @@ integer columns ``[v·den; den]``.  Either way a query point is read as its
 own homogeneous integer column (:func:`homogeneous`), which a caller that
 tests one point against several polytopes converts once.  A point set that
 the elimination shows to be affinely independent is its own vertex set; any
-other hull is LP-certified.
+other hull is LP-certified.  There a point is proved inside by a witness
+simplex, affinely independent points of the set whose hull holds it: the
+basis of a feasible membership LP is one, and its kernel's sign tests then
+decide later points with no LP.  A point is proved a vertex by a Farkas
+functional, and the LP that finds it is resumed with one more column each
+time the functional exposes another vertex.
 """
 
 from __future__ import annotations
@@ -31,10 +36,10 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatchError
-from .simplex import INFEASIBLE, OPTIMAL, integer_rows, solve_lp
+from .simplex import INFEASIBLE, OPTIMAL, LpResult, integer_rows, resume, solve_lp
 
 Vector = tuple[Fraction, ...]
 
@@ -266,28 +271,36 @@ def _check_uniform(points: Sequence[Vector]) -> int:
     return dim
 
 
-def hull_membership(
-    columns: Sequence[Sequence[int]], y: Sequence[int]
-) -> tuple[bool, tuple[tuple[int, ...], int] | None]:
+class Membership(NamedTuple):
+    """Outcome of :func:`hull_membership`: the verdict, the separating
+    functional ``(c, c0)`` when it is ``False``, and the LP that decided it
+    (an infeasible one can be :func:`~rotaxa.simplex.resume`-d with one more
+    point; a feasible one's basis names points whose hull holds ``x``)."""
+
+    member: bool
+    separation: tuple[tuple[int, ...], int] | None
+    lp: LpResult
+
+
+def hull_membership(columns: Sequence[Sequence[int]], y: Sequence[int]) -> Membership:
     """Decide ``x in conv(points)`` exactly, by one feasibility LP.
 
     Each point ``p``, and ``x``, is given as a homogeneous integer column
     ``[p·den; den]`` over a positive ``den`` of its own (the polytope's
     ``integer_vertices`` or :func:`homogeneous` give them); a positive
     multiple of a column is the same point, and the LP takes the same
-    pivots.  Returns ``(True, None)`` on membership.  On failure returns
-    ``(False, (c, c0))``, integers, where the functional satisfies
-    ``c . p <= c0`` for every hull point and ``c . x > c0`` — an
-    LP-certified separation.
+    pivots.  On membership the separation is ``None``.  On failure it is
+    ``(c, c0)``, integers, where the functional satisfies ``c . p <= c0``
+    for every hull point and ``c . x > c0`` — an LP-certified separation.
     """
     dim = _check_uniform([*columns, y]) - 1
     rows = list(zip(*columns)) or [()] * len(y)
     res = solve_lp([0] * len(columns), rows, y)
     if res.status == OPTIMAL:
-        return True, None
+        return Membership(True, None, res)
     certificate = res.certificate
     assert certificate is not None
-    return False, (certificate[:dim], -certificate[dim])
+    return Membership(False, (certificate[:dim], -certificate[dim]), res)
 
 
 def contains_point(polytope: RationalPolytope, x: Vector | HomogeneousPoint) -> bool:
@@ -325,12 +338,24 @@ def extreme_points(points: Iterable[Vector]) -> RationalPolytope:
       the lexicographically largest maximizer of ``c`` over all points, a
       vertex of the face ``c`` exposes and so of the hull;
     * if they tie and ``best < p``, ``best`` came earlier in the order and is
-      decided already.  Not as inside the hull: the approximation only grows
-      and ``c`` puts all of it strictly below ``c . p = c . best``.
+      decided already.  Not as inside the hull: a point decided inside lies
+      in the hull of the approximation, which only grows, and ``c`` puts all
+      of it strictly below ``c . p = c . best``.
 
-    The second case rests on the lexicographic order.  Every verdict is
-    backed by an exact certificate, an elimination or an LP, and the routine
-    is idempotent.
+    The second case rests on the lexicographic order.
+
+    The LPs reuse each other's work.  When ``best`` joins the approximation,
+    the candidate's LP takes it as one more column and resumes its phase 1
+    where it ended (:func:`~rotaxa.simplex.resume`), rather than starting
+    again from the artificial basis.  When an LP finds ``p`` inside, its
+    final basis names affinely independent inner points whose hull holds
+    ``p``: a witness simplex.  Its :class:`SimplexKernel` is kept for the
+    rest of the call, and each later candidate is first tested against the
+    kept kernels by integer sign tests; one that lies in a witness simplex
+    lies in the hull of other points and is decided as inside with no LP.
+
+    Every verdict is backed by an exact certificate (an elimination, a
+    Farkas functional or a witness simplex), and the routine is idempotent.
     """
     points = list(points)
     if not points:
@@ -358,18 +383,20 @@ def extreme_points(points: Iterable[Vector]) -> RationalPolytope:
     decided = [False] * len(pts)
     is_vertex[0] = is_vertex[-1] = True
     decided[0] = decided[-1] = True
+    witnesses: list[SimplexKernel] = []
 
-    for idx, p in enumerate(pts):
+    for idx in range(len(pts)):
         if decided[idx]:
             continue
-        while True:
-            # Every point of ``inner`` is decided, so ``p`` is not among them.
-            member, certificate = hull_membership(
-                [columns[i] for i in inner], columns[idx]
-            )
-            if member:
-                break
-            c, _ = certificate  # type: ignore[misc]
+        decided[idx] = True
+        y = columns[idx]
+        if any(kernel.contains(y) for kernel in witnesses):
+            continue
+        # Every point of ``inner`` is decided, so ``p`` is not among them.
+        # Column j of the LP is the point inner[j], resumed ones included.
+        lp = hull_membership([columns[i] for i in inner], y).lp
+        while lp.status == INFEASIBLE:
+            c = lp.certificate[:dim]  # type: ignore[index]
             values = [_dot(c, q) for q in ints]
             # The functional's maximizer among the other points, ties going
             # to the lexicographically largest, which is the largest index.
@@ -386,7 +413,10 @@ def extreme_points(points: Iterable[Vector]) -> RationalPolytope:
             inner.append(best_i)
             inner_set.add(best_i)
             is_vertex[best_i] = decided[best_i] = True
-        decided[idx] = True
+            lp = resume(lp, columns[best_i])
+        else:
+            basis = [ints[inner[j]] for j in lp.basis]  # type: ignore[union-attr]
+            witnesses.append(_simplex_kernel(den, basis))  # type: ignore[arg-type]
 
     keep = [i for i in range(len(pts)) if is_vertex[i]]
     hull = RationalPolytope(dim, tuple(pts[i] for i in keep))
@@ -416,9 +446,15 @@ def affine_dim(polytope: RationalPolytope) -> int:
 
 
 def rank_of(vectors: Iterable[Vector]) -> int:
-    """Rank over Q: the number of pivots when the rows, written as integers
-    over one denominator, are eliminated."""
-    rows = list(integer_rows(vectors)[1])
+    """Rank over Q, of the rows written as integers over one denominator."""
+    return integer_rank(integer_rows(vectors)[1])
+
+
+def integer_rank(rows: Iterable[Sequence[int]]) -> int:
+    """Rank over Q of integer rows: the number of pivots when they are
+    eliminated.  Scaling a row by a positive integer keeps the rank, so rows
+    converted over different denominators may be stacked."""
+    rows = list(rows)
     if not rows:
         return 0
     return len(_eliminate(rows, len(rows[0])))

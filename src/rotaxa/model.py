@@ -27,11 +27,12 @@ from .exactgeom import (
     RationalPolytope,
     contains_point,
     homogeneous,
-    rank_of,
+    integer_rank,
     zero_vector,
 )
 from .heteroclinic import Chain, HeteroclinicPoset, validate_poset
 from .markov import TRIVIAL, BasicPieceModel, validate_piece
+from .simplex import integer_rows
 
 
 @dataclass(frozen=True)
@@ -106,19 +107,25 @@ def validate_rotation_data(
     """
     violations: list[str] = []
     warnings: list[str] = []
+    # Each annulus basis is converted, and each distinct set of annuli
+    # decided, once per call: chains share annuli, and chains that differ
+    # only off the annuli share the whole set.
+    annulus_rows: dict[str, tuple[tuple[int, ...], ...]] = {}
+    direct_sums: dict[tuple[str, ...], bool] = {}
     for chain in chain_sets:
-        annuli = [
+        annuli = tuple(
             sub_id
             for sub_id in sorted(chain_support(chain, model))
             if model.decomposition.subsurface(sub_id).kind == ANNULUS
-        ]
-        bases = [
-            model.decomposition.subsurface(sub_id).subspace.basis
-            for sub_id in annuli
-        ]
-        total = sum(len(b) for b in bases)
-        stacked = [v for basis in bases for v in basis]
-        if rank_of(stacked) != total:
+        )
+        if annuli not in direct_sums:
+            for sub_id in annuli:
+                if sub_id not in annulus_rows:
+                    basis = model.decomposition.subsurface(sub_id).subspace.basis
+                    annulus_rows[sub_id] = integer_rows(basis)[1]
+            stacked = [row for sub_id in annuli for row in annulus_rows[sub_id]]
+            direct_sums[annuli] = integer_rank(stacked) == len(stacked)
+        if not direct_sums[annuli]:
             violations.append(
                 "/decomposition: annulus subspaces of "
                 + "+".join(annuli)

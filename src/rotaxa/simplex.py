@@ -45,33 +45,115 @@ When a problem is infeasible we also report a Farkas certificate: a vector
 phase 1 duals, given as the primitive integer vector they are a positive
 multiple of.  The geometry layer turns that certificate into a separating
 functional, which is what makes the convex-hull routines output-sensitive.
+
+An infeasible LP can take one more column and go on from where its phase 1
+ended (:func:`resume`), rather than be solved again from the artificial
+basis.  Write the rows sign-flipped so that ``b' >= 0`` (``a'_i = flip_i
+a_i``) and let ``B`` be the basis, over those rows, that phase 1 ended in.
+Every phase 1 pivot is positive, so ``D = det B > 0`` (it starts at
+``det I = 1``, and a pivot on ``p`` makes it ``p``, the determinant of the
+new basis), and the tableau is ``D B^-1`` times the flipped, scaled input,
+the objective row ``D`` times the reduced costs.  Two facts follow:
+
+* The artificial columns started as the identity, so they now hold
+  ``D B^-1``, an integer matrix (the adjugate of ``B``).  The new column's
+  entries are that block times ``a'``, for the new primitive column ``a``:
+  exact, with no division.
+* The phase 1 duals are ``y_i = (D - obj[n+i]) / D``, read off the
+  artificial reduced costs ``1 - y_i``.  The new column has cost 0 in
+  phase 1, so its objective entry is ``-D y . a' = -sum_i (D - obj[n+i])
+  flip_i a_i``.
+
+Both are the entries that the enlarged LP's tableau holds at the basis
+``B``, which depends on ``B`` alone and not on the pivots that reached it;
+so every later division is exact by the same minor argument, and Bland's
+rule goes on from ``B`` as it would on that LP.  If phase 1 ends at a
+positive optimum again, every reduced cost ``-y . A'_j`` is ``>= 0``, the
+new column's included, and the objective value ``y . b'`` is positive:
+``y``, flipped back, is again a Farkas certificate for the enlarged LP.
+Otherwise the LP is feasible and goes on to phase 2 as usual.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Sequence
+from weakref import ref
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
+class _Tableau:
+    """The working state of one LP: its fraction-free tableau and basis, and
+    what it takes to read them back in the caller's variables."""
+
+    __slots__ = (
+        "costs", "columns", "rhs_d", "rhs_g", "flips",
+        "rows", "obj", "basis", "den", "latest",
+    )
+
+    def __init__(self, costs, columns, rhs_d, rhs_g, flips, rows, obj, basis):
+        self.costs = costs  # the caller's costs
+        self.columns = columns  # (ints, d, g) of each structural column
+        self.rhs_d, self.rhs_g = rhs_d, rhs_g
+        self.flips = flips  # the sign each row was multiplied by
+        self.rows = rows
+        self.obj = obj
+        self.basis = basis
+        self.den = 1
+        # A weak reference (no cycle) to the infeasible result resume takes.
+        self.latest = None
+
+
 @dataclass(frozen=True)
 class LpResult:
-    """Outcome of :func:`solve_lp`.
+    """Outcome of :func:`solve_lp` or :func:`resume`.
 
-    ``solution`` and ``value`` are set only for status ``"optimal"``;
     ``certificate`` (the Farkas vector described in the module docstring)
-    only for status ``"infeasible"``.
+    is set only for status ``"infeasible"``.  For status ``"optimal"``,
+    ``basis`` lists the basic columns in row order (structural ones only:
+    the artificials are expelled and redundant rows dropped after phase 1),
+    and ``solution`` and ``value`` are built from the final tableau when
+    first read.
     """
 
     status: str
-    value: Fraction | None = None
-    solution: tuple[Fraction, ...] | None = None
-    certificate: tuple[Fraction, ...] | None = None
+    certificate: tuple[int, ...] | None = None
+    _lp: _Tableau | None = None
+
+    @property
+    def basis(self) -> tuple[int, ...] | None:
+        if self.status != OPTIMAL:
+            return None
+        return tuple(self._lp.basis)
+
+    @cached_property
+    def solution(self) -> tuple[Fraction, ...] | None:
+        if self.status != OPTIMAL:
+            return None
+        lp = self._lp
+        # Unscale: column j was multiplied by d / g, the rhs by rhs_d / rhs_g.
+        solution = [Fraction(0)] * len(lp.columns)
+        for var, entries in zip(lp.basis, lp.rows):
+            _, d, g = lp.columns[var]
+            solution[var] = Fraction(
+                entries[-1] * d * lp.rhs_g, lp.den * g * lp.rhs_d
+            )
+        return tuple(solution)
+
+    @cached_property
+    def value(self) -> Fraction | None:
+        if self.status != OPTIMAL:
+            return None
+        costs, solution = self._lp.costs, self.solution
+        return sum(
+            (costs[j] * solution[j] for j in self._lp.basis if costs[j]), Fraction(0)
+        )
 
 
 def integer_rows(vectors: Iterable) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -118,8 +200,6 @@ def solve_lp(
             flips.append(1)
         entries[n + i] = 1
         tableau.append(entries)
-    basis = [n + i for i in range(m)]
-    den = 1
 
     # Phase 1: minimize the sum of artificials.  The objective row holds
     # reduced costs, with the negated objective value in the rhs slot.
@@ -128,25 +208,69 @@ def solve_lp(
         obj = [o - a for o, a in zip(obj, entries)]
     obj[n : n + m] = [0] * m
 
-    status, den = _iterate(tableau, obj, basis, n, den)
+    basis = [n + i for i in range(m)]
+    lp = _Tableau(list(costs), columns, rhs_d, rhs_g, flips, tableau, obj, basis)
+    return _solve(lp)
+
+
+def resume(result: LpResult, column: Sequence[Fraction]) -> LpResult:
+    """:func:`solve_lp` on the infeasible LP of ``result`` with ``column``
+    appended at cost 0, resumed from the basis its phase 1 ended in.
+
+    The new column enters the tableau as the module docstring describes,
+    and Bland's rule goes on from there.  ``result`` must be the latest
+    result of its LP; its tableau is taken over.
+    """
+    lp = result._lp
+    if lp is None or lp.latest is None or lp.latest() is not result:
+        raise ValueError("only the latest infeasible result of an LP resumes")
+    lp.latest = None
+    n, m = len(lp.columns), len(lp.flips)
+    if len(column) != m:
+        raise ValueError("inconsistent LP dimensions")
+    ints, d, g = _primitive(column)
+    signed = [flip * a for flip, a in zip(lp.flips, ints)]
+    # The artificial block of each row is a row of den * B^-1.
+    for entries in lp.rows:
+        entries.insert(n, sum(a * s for a, s in zip(entries[n : n + m], signed)))
+    den = lp.den
+    lp.obj.insert(
+        n, -sum((den - o) * s for o, s in zip(lp.obj[n : n + m], signed))
+    )
+    lp.basis[:] = [var + 1 if var >= n else var for var in lp.basis]
+    lp.columns.append((ints, d, g))
+    lp.costs.append(0)
+    return _solve(lp)
+
+
+def _solve(lp: _Tableau) -> LpResult:
+    """Phase 1 from the tableau's current basis, then phase 2."""
+    n, m = len(lp.columns), len(lp.flips)
+    tableau, obj, basis = lp.rows, lp.obj, lp.basis
+    status, lp.den = _iterate(tableau, obj, basis, n, lp.den)
     if status == UNBOUNDED:  # pragma: no cover - phase 1 is always bounded
         raise AssertionError("phase 1 cannot be unbounded")
     if obj[-1] < 0:
         # Duals from the artificial reduced costs: cbar_{a_i} = 1 - y_i, so
         # y_i = (den - obj[n + i]) / den, and den > 0 after phase 1.
-        y = [flips[i] * (den - obj[n + i]) for i in range(m)]
+        y = [lp.flips[i] * (lp.den - obj[n + i]) for i in range(m)]
         g = gcd(*y)
-        return LpResult(status=INFEASIBLE, certificate=tuple(a // g for a in y))
+        result = LpResult(INFEASIBLE, tuple(a // g for a in y), lp)
+        lp.latest = ref(result)
+        return result
 
-    den = _expel_artificials(tableau, basis, n, den)
-    if any(costs):
+    den = _expel_artificials(tableau, basis, n, lp.den)
+    if any(lp.costs):
         # No artificial column can enter again, so phase 2 drops them.
         for entries in tableau:
             del entries[n:-1]
         # Phase 2 objective row: the costs of the scaled variables, times a
         # positive integer.
         cost_ints, _, _ = _primitive(
-            [c * Fraction(d, g) if c else 0 for c, (_, d, g) in zip(costs, columns)]
+            [
+                c * Fraction(d, g) if c else 0
+                for c, (_, d, g) in zip(lp.costs, lp.columns)
+            ]
         )
         obj = [c * den for c in cost_ints]
         obj.append(0)
@@ -156,15 +280,9 @@ def solve_lp(
                 obj = [o - c * a for o, a in zip(obj, entries)]
         status, den = _iterate(tableau, obj, basis, n, den)
         if status == UNBOUNDED:
-            return LpResult(status=UNBOUNDED)
-
-    # Unscale: column j was multiplied by d / g, the rhs by rhs_d / rhs_g.
-    solution = [Fraction(0)] * n
-    for var, entries in zip(basis, tableau):
-        _, d, g = columns[var]
-        solution[var] = Fraction(entries[-1] * d * rhs_g, den * g * rhs_d)
-    value = sum((costs[j] * solution[j] for j in basis if costs[j]), Fraction(0))
-    return LpResult(status=OPTIMAL, value=value, solution=tuple(solution))
+            return LpResult(UNBOUNDED)
+    lp.den = den
+    return LpResult(OPTIMAL, _lp=lp)
 
 
 def _primitive(values: Sequence) -> tuple[list[int], int, int]:

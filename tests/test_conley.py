@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from conftest import V
+from rotaxa import model as model_module
 from rotaxa.conley import (
     ANNULUS,
     CURVED_SURFACE,
@@ -15,7 +18,7 @@ from rotaxa.conley import (
     coned,
     support_span,
 )
-from rotaxa.engine import compute, run_checks
+from rotaxa.engine import compute, run_checks, validate
 from rotaxa.errors import ModelValidationError
 from rotaxa.exactgeom import (
     SubspaceBasis,
@@ -365,3 +368,50 @@ class TestDecompositionValidation:
         )
         violations, _ = validate_model(model)
         assert any("assigned to curved_surface" in v for v in violations)
+
+    def test_annuli_not_in_direct_sum(self):
+        base = exp_family(2)
+        first = base.decomposition.subsurfaces[0]
+        assert first.id == "A1_0"
+        subsurfaces = tuple(
+            replace(s, subspace=first.subspace) if s.id == "A2_0" else s
+            for s in base.decomposition.subsurfaces
+        )
+        model = replace(
+            base, decomposition=replace(base.decomposition, subsurfaces=subsurfaces)
+        )
+        assert validate(model) == (
+            [
+                "/decomposition: annulus subspaces of A1_0+A1_s+A2_0+A2_s "
+                "(chain L1_0<L1_s<L2_0<L2_s) are not in direct sum"
+            ],
+            [],
+        )
+
+    def test_each_annulus_basis_converted_once(self, monkeypatch):
+        # exp_family(4) has 16 chains, each over its own set of 8 of the 12
+        # annuli: one conversion per annulus and one rank per set.
+        converted, ranked = [], []
+        integer_rows, integer_rank = model_module.integer_rows, model_module.integer_rank
+
+        def counted_rows(vectors):
+            converted.append(vectors)
+            return integer_rows(vectors)
+
+        def counted_rank(rows):
+            ranked.append(rows)
+            return integer_rank(rows)
+
+        monkeypatch.setattr(model_module, "integer_rows", counted_rows)
+        monkeypatch.setattr(model_module, "integer_rank", counted_rank)
+        result = compute(exp_family(4))
+        assert len(result.chains) == 16
+        annuli = [
+            s.subspace.basis
+            for s in result.model.decomposition.subsurfaces
+            if s.kind == ANNULUS
+        ]
+        assert len(annuli) == 12
+        assert len(converted) == 12
+        assert {id(basis) for basis in converted} == {id(basis) for basis in annuli}
+        assert len(ranked) == 16

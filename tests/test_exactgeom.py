@@ -132,11 +132,66 @@ def brute_vertices(points):
     )
 
 
+@st.composite
+def crowded_sets(draw):
+    """Points in dimension 2 to 4: a few integer corners and many convex
+    combinations of them (interior points, and points on the segments and
+    faces between corners, so collinear and coplanar subsets), then repeats,
+    in any order.  Sometimes the whole set is mapped into a hyperplane, so
+    that it is lower dimensional."""
+    dim = draw(st.integers(2, 4))
+    small = st.integers(-3, 3)
+    corners = draw(st.lists(st.tuples(*[small] * dim), min_size=2, max_size=dim + 3))
+    points = [tuple(map(Fraction, corner)) for corner in corners]
+    for _ in range(draw(st.integers(4, 18))):
+        chosen = draw(st.lists(st.sampled_from(corners), min_size=1, max_size=4))
+        weights = [draw(st.integers(1, 3)) for _ in chosen]
+        total = sum(weights)
+        points.append(tuple(
+            Fraction(sum(w * corner[k] for w, corner in zip(weights, chosen)), total)
+            for k in range(dim)
+        ))
+    points += draw(st.lists(st.sampled_from(points), max_size=4))
+    if draw(st.booleans()):
+        coefficients = [draw(small) for _ in range(dim - 1)]
+        points = [
+            (*p[:-1], sum(a * b for a, b in zip(coefficients, p[:-1])))
+            for p in points
+        ]
+    return draw(st.permutations(points))
+
+
 class TestExtremePointsOracle:
     @settings(max_examples=150)
     @given(sheared_grid_sets())
     def test_vertices_match_one_lp_per_point(self, points):
         assert extreme_points(points).vertices == brute_vertices(points)
+
+    def test_resumed_lps_and_witness_simplices_match_one_lp_per_point(self):
+        # Counts over all examples, so that neither path can go untested.
+        used = {"resumes": 0, "witness_hits": 0}
+        resume, contains = exactgeom.resume, exactgeom.SimplexKernel.contains
+
+        def counted_resume(*args):
+            used["resumes"] += 1
+            return resume(*args)
+
+        def counted_contains(kernel, y):
+            hit = contains(kernel, y)
+            used["witness_hits"] += hit
+            return hit
+
+        @settings(max_examples=150)
+        @given(crowded_sets())
+        def check(points):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(exactgeom, "resume", counted_resume)
+                patch.setattr(exactgeom.SimplexKernel, "contains", counted_contains)
+                hull = extreme_points(points)
+            assert hull.vertices == brute_vertices(points)
+
+        check()
+        assert used["resumes"] > 0 and used["witness_hits"] > 0
 
 
 class TestMembership:

@@ -11,7 +11,7 @@ from itertools import combinations
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import rotaxa.simplex as simplex
@@ -198,11 +198,69 @@ def test_agrees_with_basis_enumeration(lp):
         assert _dot(y, rhs) > 0
 
 
+@st.composite
+def lps_with_more_columns(draw):
+    """A small LP and one to three columns to append to it, each at cost 0."""
+    costs, rows, rhs = draw(small_lps())
+    more = draw(
+        st.lists(
+            st.lists(rationals, min_size=len(rows), max_size=len(rows)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    return costs, rows, rhs, more
+
+
+@settings(max_examples=300)
+@given(lps_with_more_columns())
+def test_resume_agrees_with_a_solve_from_scratch(lp):
+    costs, rows, rhs, more = lp
+    res = solve_lp(costs, rows, rhs)
+    assume(res.status == INFEASIBLE)
+    for column in more:
+        if res.status != INFEASIBLE:
+            break
+        res = simplex.resume(res, column)
+        costs = [*costs, F(0)]
+        rows = [[*row, a] for row, a in zip(rows, column)]
+        scratch = solve_lp(costs, rows, rhs)
+        assert res.status == scratch.status
+        if res.status == OPTIMAL:
+            assert res.value == scratch.value
+            x = res.solution
+            assert all(xj >= 0 for xj in x)
+            assert all(_dot(row, x) == beta for row, beta in zip(rows, rhs))
+        elif res.status == INFEASIBLE:
+            y = res.certificate
+            assert all(type(a) is int for a in y)
+            for j in range(len(costs)):
+                assert sum(yi * row[j] for yi, row in zip(y, rows)) <= 0
+            assert _dot(y, rhs) > 0
+
+
+def test_only_the_latest_infeasible_result_resumes():
+    # x = -1 stays infeasible with the column 1 and becomes feasible with -1.
+    first = solve_lp([F(0)], [[F(1)]], [F(-1)])
+    second = simplex.resume(first, [F(1)])
+    assert second.status == INFEASIBLE
+    with pytest.raises(ValueError):
+        simplex.resume(first, [F(-1)])
+    third = simplex.resume(second, [F(-1)])
+    assert third.status == OPTIMAL and third.solution == (0, 0, 1)
+    with pytest.raises(ValueError):
+        simplex.resume(second, [F(-1)])
+    with pytest.raises(ValueError):
+        simplex.resume(third, [F(-1)])
+
+
 # Bland's rule fixes the pivot sequence, so the number of pivots on a fixed
 # input is a property of the input.  A change to the kernel that alters the
 # pivot order shows here: reversing the leaving-row tie-break moves the hull
-# count from 100 to 93 and the segment count from 24 to 19.  The hull count
-# also depends on which LPs extreme_points asks for.  The 27-point grid on a
+# count from 31 to 26 and the segment count from 24 to 19.  The hull count
+# also depends on which LPs extreme_points asks for, and on how many it
+# resumes or skips: 100 pivots when every LP started from the artificial
+# basis.  The 27-point grid on a
 # box with mixed denominators makes many ratio ties, so the leaving-row
 # tie-break matters.
 PINNED_POINTS = [
@@ -229,7 +287,27 @@ def pivot_count(monkeypatch):
 def test_extreme_points_pivot_count_is_pinned(pivot_count):
     hull = extreme_points(PINNED_POINTS)
     assert len(hull.vertices) == 8
-    assert pivot_count[0] == 100
+    assert pivot_count[0] == 31
+
+
+def test_hull_lps_build_no_solution_fractions(monkeypatch):
+    # A membership LP reads only its status, so its solution is built only
+    # when read.
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(simplex, "Fraction", counted)
+    hull = extreme_points(PINNED_POINTS)
+    assert len(hull.vertices) == 8
+    centre = exactgeom.homogeneous((F(0), F(0), F(0)))
+    member = exactgeom.hull_membership(exactgeom._columns(hull), centre)
+    assert member.member and built == []
+    weights = member.lp.solution
+    assert len(weights) == 8 and built
+    assert sum(weights) == F(1, hull.integer_vertices[0])
 
 
 def test_segment_interval_pivot_count_is_pinned(pivot_count):
@@ -327,7 +405,9 @@ def test_column_scaling_keeps_pivots_and_certificates(lp, data):
 
 # A cycle-mean piece with cycles of many lengths: a 14-node ring with 16
 # chords, as in the benchmark's random pieces.  Its 35 hull vertices cost
-# 123 LPs and 935 pivots, and Bland's rule fixes both counts.
+# 49 LPs, 23 resumes of them and 401 pivots, and Bland's rule fixes all
+# three counts.  Solving every LP from the artificial basis took 123 LPs and
+# 935 pivots.
 MIXED_LENGTH_NODES = {
     "r00": (-2, -2, 2, -3), "r01": (-3, -3, -3, -3), "r02": (-3, 2, -3, -1),
     "r03": (-1, -2, 3, -2), "r04": (2, -2, 1, 2), "r05": (-3, 0, 1, -3),
@@ -356,12 +436,16 @@ def mixed_length_hull(monkeypatch):
         classification="curved",
         graph=graph_from_edges(MIXED_LENGTH_NODES.items(), MIXED_LENGTH_EDGES),
     )
-    counts = {"lps": 0, "pivots": 0, "conversions": 0, "row_bits": []}
+    counts = {"lps": 0, "resumes": 0, "pivots": 0, "conversions": 0, "row_bits": []}
     solve, pivot, integer_rows = solve_lp, simplex._pivot, simplex.integer_rows
 
     def counted_solve(*args):
         counts["lps"] += 1
         return solve(*args)
+
+    def counted_resume(*args):
+        counts["resumes"] += 1
+        return simplex.resume(*args)
 
     def recording_pivot(tableau, obj, basis, row, col, den):
         counts["pivots"] += 1
@@ -373,6 +457,7 @@ def mixed_length_hull(monkeypatch):
         return integer_rows(vectors)
 
     monkeypatch.setattr(exactgeom, "solve_lp", counted_solve)
+    monkeypatch.setattr(exactgeom, "resume", counted_resume)
     monkeypatch.setattr(simplex, "_pivot", recording_pivot)
     for module in (simplex, exactgeom, markov):
         monkeypatch.setattr(module, "integer_rows", counted_rows)
@@ -382,7 +467,8 @@ def mixed_length_hull(monkeypatch):
 
 
 def test_cycle_mean_hull_lp_and_pivot_counts_are_pinned(mixed_length_hull):
-    assert (mixed_length_hull["lps"], mixed_length_hull["pivots"]) == (123, 935)
+    counts = mixed_length_hull
+    assert (counts["lps"], counts["resumes"], counts["pivots"]) == (49, 23, 401)
 
 
 def test_cycle_mean_hull_lps_read_small_integer_columns(mixed_length_hull):
