@@ -23,13 +23,13 @@ from typing import TYPE_CHECKING, Sequence
 
 from .errors import DimensionMismatchError, ResourceCapError
 from .exactgeom import (
+    HomogeneousPoint,
     RationalPolytope,
     Vector,
     affine_dim,
     contains_point,
     homogeneous,
     hull_of_union,
-    midpoint,
     segment_uncovered_gap,
     zero_vector,
 )
@@ -110,20 +110,38 @@ def star_shape_check(
     to every member vertex almost settles it; midpoints of vertex pairs are
     probed as well to guard against unions whose vertex rays are covered
     while interior rays are not.
+
+    The candidates are built as integer vectors over one denominator, twice
+    the lcm of the members' ``integer_vertices`` denominators, so each
+    midpoint is exact; they are tested in that integer order, which is the
+    order of the points, and the first uncovered one is the witness.  Each
+    candidate's segment is tested against the member that produced it
+    first: that member holds the candidate, so when it also holds the
+    origin, its interval alone covers the segment.
     """
     if not union:
         raise ValueError("empty union")
     dim = union[0].dim
     if any(p.dim != dim for p in union):
         raise DimensionMismatchError("mixed dimensions in the union")
-    candidates: set[Vector] = set()
-    for member in union:
-        candidates.update(member.vertices)
-        for u, v in combinations(member.vertices, 2):
-            candidates.add(midpoint(u, v))
+    members = list(union)
+    den = 2 * lcm(*(member.integer_vertices[0] for member in members))
+    # Candidate -> index of the first member that produced it.
+    source: dict[tuple[int, ...], int] = {}
+    for index, member in enumerate(members):
+        member_den, rows = member.integer_vertices
+        scale = den // member_den
+        verts = [tuple(c * scale for c in row) for row in rows]
+        for v in verts:
+            source.setdefault(v, index)
+        for u, v in combinations(verts, 2):
+            source.setdefault(tuple((a + b) // 2 for a, b in zip(u, v)), index)
     origin = zero_vector(dim)
-    for point in sorted(candidates):
-        gap = segment_uncovered_gap(origin, point, union)
+    for ints in sorted(source):
+        index = source[ints]
+        point = tuple(Fraction(c, den) for c in ints)
+        family = [members[index], *members[:index], *members[index + 1 :]]
+        gap = segment_uncovered_gap(origin, point, family)
         if gap is not None:
             return False, CoverageWitness(point=point, gap=gap)
     return True, None
@@ -139,8 +157,9 @@ def probe_points(
     taken.  More than :data:`PROBE_CAP` compositions raise
     :class:`ResourceCapError` before any point is built.  Every grid point
     times ``common``, the hull's ``integer_vertices`` denominator times
-    each grid denominator, is an integer vector; the points are summed,
-    deduplicated and sorted as those, and divided once.
+    each grid denominator, is an integer vector; the points are summed as
+    those, one running total carried down the weights, then deduplicated
+    and sorted, and each distinct numerator is divided once.
     """
     top = max(density, 2)
     parts = len(hull.vertices)
@@ -158,22 +177,31 @@ def probe_points(
     verts = [tuple(c * grid for c in row) for row in rows]
     points: set[tuple[int, ...]] = set()
     for den in range(1, top + 1):
-        for weights in _compositions(den, len(verts)):
-            total = [0] * hull.dim
-            for w, vertex in zip(weights, verts):
-                if w:
-                    total = [t + w * c for t, c in zip(total, vertex)]
-            points.add(tuple(t // den for t in total))
-    return [tuple(Fraction(t, common) for t in point) for point in sorted(points)]
+        _add_grid(points, verts, 0, (0,) * hull.dim, den, den)
+    fractions = {t: Fraction(t, common) for t in set().union(*points)}
+    return [tuple(map(fractions.__getitem__, point)) for point in sorted(points)]
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
+def _add_grid(
+    points: set[tuple[int, ...]],
+    verts: list[tuple[int, ...]],
+    index: int,
+    total: Sequence[int],
+    remaining: int,
+    den: int,
+) -> None:
+    """Add ``(total + sum w_i verts[i]) // den`` to ``points`` for every
+    choice of weights ``w_i >= 0`` on ``verts[index:]`` summing to
+    ``remaining``; ``total`` grows by one vertex per step of the loop."""
+    vertex = verts[index]
+    if index == len(verts) - 1:
+        points.add(tuple((t + remaining * c) // den for t, c in zip(total, vertex)))
         return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+    for _ in range(remaining):
+        _add_grid(points, verts, index + 1, total, remaining, den)
+        total = [t + c for t, c in zip(total, vertex)]
+        remaining -= 1
+    points.add(tuple(t // den for t in total))
 
 
 def convexity_probe(
@@ -215,8 +243,10 @@ def interior_check(blocks: Sequence["Block"], genus: int) -> InteriorReport:
         for other in blocks:
             if other is candidate:
                 continue
-            for v in other.polytope.vertices:
-                if not contains_point(candidate.polytope, v):
+            den, rows = other.polytope.integer_vertices
+            for v, row in zip(other.polytope.vertices, rows):
+                y = HomogeneousPoint((*row, den))
+                if not contains_point(candidate.polytope, y):
                     stray = (
                         f"vertex {tuple(str(c) for c in v)} of block "
                         f"{other.key.label()} outside {candidate.key.label()}"

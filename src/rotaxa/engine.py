@@ -29,6 +29,7 @@ from .conley import (
 )
 from .errors import ModelValidationError, ResourceCapError
 from .exactgeom import (
+    HomogeneousPoint,
     RationalPolytope,
     contains_point,
     homogeneous,
@@ -219,8 +220,9 @@ def _chain_in_block(computation: Computation) -> CheckOutcome:
     issues: list[str] = []
     for block in computation.blocks:
         for chain in block.chains:
-            for v in polytopes[chain].vertices:
-                if not contains_point(block.polytope, v):
+            den, rows = polytopes[chain].integer_vertices
+            for v, row in zip(polytopes[chain].vertices, rows):
+                if not contains_point(block.polytope, HomogeneousPoint((*row, den))):
                     issues.append(
                         f"chain {'<'.join(chain)}: vertex "
                         f"{tuple(str(c) for c in v)} outside block {block.key.label()}"

@@ -68,11 +68,6 @@ def vector_scale(u: Vector, s: Fraction | int) -> Vector:
     return tuple(a * s for a in u)
 
 
-def midpoint(u: Vector, v: Vector) -> Vector:
-    half = Fraction(1, 2)
-    return tuple((a + b) * half for a, b in zip(u, v))
-
-
 def parse_rational(text: str | int) -> Fraction:
     """Read an integer, or a string in the form ``str`` writes: ``"p/q"``
     with ``q > 1`` in lowest terms, or ``"n"``."""
@@ -463,16 +458,27 @@ def integer_rank(rows: Iterable[Sequence[int]]) -> int:
 def vertex_outside_span(
     subspace: SubspaceBasis, polytope: RationalPolytope
 ) -> Vector | None:
-    """The first vertex outside the rational span of the basis, or None."""
+    """The first vertex outside the rational span of the basis, or None.
+
+    The basis is converted to integers once.  One rank of the basis stacked
+    with every vertex row decides the passing case; only when that rank
+    exceeds the basis's own are the vertices tested one at a time, so the
+    vertex reported is still the first one outside.
+    """
     if subspace.basis and len(subspace.basis[0]) != polytope.dim:
         raise DimensionMismatchError(
             f"basis of length {len(subspace.basis[0])} against dimension {polytope.dim}"
         )
-    base_rank = rank_of(subspace.basis)
-    for v in polytope.vertices:
-        if rank_of(list(subspace.basis) + [v]) != base_rank:
-            return v
-    return None
+    basis = integer_rows(subspace.basis)[1]
+    rows = polytope.integer_vertices[1]
+    base_rank = integer_rank(basis)
+    if integer_rank([*basis, *rows]) == base_rank:
+        return None
+    return next(
+        v
+        for v, row in zip(polytope.vertices, rows)
+        if integer_rank([*basis, row]) != base_rank
+    )
 
 
 def in_span(subspace: SubspaceBasis, polytope: RationalPolytope) -> bool:
@@ -532,6 +538,10 @@ def segment_uncovered_gap(
     Returns ``None`` when the segment is covered.  Otherwise returns
     parameters ``(lo, hi)`` with ``lo < hi`` such that no point strictly
     between them is covered (and ``lo`` itself is uncovered when it is 0).
+
+    The scan stops at the first member that holds the whole segment.  The
+    gap is read from the intervals sorted, so the order of the family never
+    changes the answer, only how many members are tested.
     """
     dim = len(a)
     if len(b) != dim or any(p.dim != dim for p in family):
@@ -544,6 +554,8 @@ def segment_uncovered_gap(
     intervals = []
     for member in family:
         hit = segment_interval(member, a, b)
+        if hit == (_ZERO, _ONE):
+            return None
         if hit is not None:
             intervals.append(hit)
     intervals.sort()

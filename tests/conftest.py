@@ -68,6 +68,24 @@ def brute_extreme_2d(points: list[Vector]) -> list[Vector]:
     )
 
 
+def full_scan_gap(a: Vector, b: Vector, family) -> tuple[Fraction, Fraction] | None:
+    """First uncovered gap of ``[a, b]``, read from every member's interval:
+    no member is skipped, however early the segment is covered."""
+    from rotaxa.exactgeom import contains_point, segment_interval
+
+    if a == b:
+        if any(contains_point(member, a) for member in family):
+            return None
+        return Fraction(0), Fraction(1)
+    hits = [segment_interval(member, a, b) for member in family]
+    reach = Fraction(0)
+    for lo, hi in sorted(hit for hit in hits if hit is not None):
+        if lo > reach:
+            return reach, lo
+        reach = max(reach, hi)
+    return None if reach >= 1 else (reach, Fraction(1))
+
+
 @pytest.fixture
 def triangle():
     from rotaxa.exactgeom import extreme_points

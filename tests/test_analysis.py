@@ -7,13 +7,13 @@ from itertools import combinations, product
 from math import comb, gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 import rotaxa.exactgeom as exactgeom
 import rotaxa.markov as markov
 import rotaxa.simplex as simplex
-from conftest import V
+from conftest import V, full_scan_gap
 from rotaxa.analysis import (
     CONTAINS_ZERO,
     CONVEX,
@@ -35,12 +35,16 @@ from rotaxa.exactgeom import (
     extreme_points,
     homogeneous,
     hull_membership,
-    midpoint,
     vector_add,
     vector_scale,
     zero_vector,
 )
 from rotaxa.fixtures import exp_family, genus2_blocks, genus2_full, genus2_nonconvex
+
+
+def midpoint(u, v):
+    return tuple((a + b) / 2 for a, b in zip(u, v))
+
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 positive_rationals = st.fractions(
@@ -180,6 +184,90 @@ class TestClassifyChainOracle:
             )
         else:
             assert result.kind == INCONSISTENT
+
+
+def star_candidates(union):
+    """Every member vertex and every midpoint of two vertices of one member,
+    as Fractions."""
+    candidates = set()
+    for member in union:
+        candidates.update(member.vertices)
+        candidates.update(midpoint(u, v) for u, v in combinations(member.vertices, 2))
+    return candidates
+
+
+def star_shape_by_full_scan(union):
+    """The star-shape check with Fraction midpoints, every candidate's
+    segment tested against the whole union: the oracle for the integer one."""
+    origin = zero_vector(union[0].dim)
+    for point in sorted(star_candidates(union)):
+        gap = full_scan_gap(origin, point, union)
+        if gap is not None:
+            return False, point, gap
+    return True, None, None
+
+
+@st.composite
+def star_unions(draw):
+    """1 to 4 polytopes in dimension 1 to 3: hulls holding the origin, hulls
+    that miss it, radial segments and members in a coordinate subspace."""
+    dim = draw(st.integers(1, 3))
+    point = st.tuples(*[rationals] * dim).map(as_vector)
+    union = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["origin", "offset", "radial", "flat"]))
+        points = draw(st.lists(point, min_size=1, max_size=3))
+        if kind == "origin":
+            points.append(zero_vector(dim))
+        elif kind == "offset":
+            shift = draw(point)
+            points = [vector_add(p, shift) for p in points]
+        elif kind == "radial":
+            scalars = draw(st.lists(positive_rationals, min_size=1, max_size=2))
+            points = [vector_scale(points[0], t) for t in scalars]
+        else:
+            points = [(*p[:-1], Fraction(0)) for p in points]
+        union.append(extreme_points(points))
+    return union
+
+
+class TestStarShapeOracle:
+    @settings(max_examples=150)
+    @given(star_unions())
+    def test_matches_full_scan(self, union):
+        ok, witness = star_shape_check(union)
+        expected = star_shape_by_full_scan(union)
+        if witness is None:
+            assert (ok, None, None) == expected
+        else:
+            assert (ok, witness.point, witness.gap) == expected
+
+    def test_drawn_unions_pass_and_fail(self):
+        once = settings(phases=[Phase.generate], database=None)
+        for outcome in (True, False):
+            find(
+                star_unions(),
+                lambda u: star_shape_by_full_scan(u)[0] == outcome,
+                settings=once,
+            )
+
+    def test_one_interval_per_candidate_on_exp_family_4(self, monkeypatch):
+        union = [data.polytope for data in compute(exp_family(4)).chains]
+        candidates = star_candidates(union)
+        calls = []
+        interval = exactgeom.segment_interval
+
+        def counted(polytope, a, b):
+            calls.append(b)
+            return interval(polytope, a, b)
+
+        monkeypatch.setattr(exactgeom, "segment_interval", counted)
+        assert star_shape_check(union) == (True, None)
+        # Every chain holds the origin, which is itself a candidate and is
+        # decided by membership; each other candidate takes one interval.
+        origin = zero_vector(union[0].dim)
+        assert origin in candidates and len(candidates) == 41
+        assert sorted(calls) == sorted(candidates - {origin})
 
 
 class TestStarShape:

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import V, brute_extreme_2d, brute_membership_2d
+from conftest import V, brute_extreme_2d, brute_membership_2d, full_scan_gap
 from rotaxa import exactgeom
+from rotaxa.conley import support_span
 from rotaxa.engine import compute, run_checks
 from rotaxa.errors import DimensionMismatchError
 from rotaxa.exactgeom import (
@@ -32,6 +33,7 @@ from rotaxa.exactgeom import (
     vector_add,
     vector_scale,
     vector_sub,
+    vertex_outside_span,
 )
 from rotaxa.fixtures import exp_family, genus2_full
 
@@ -391,6 +393,32 @@ class TestAffineDim:
         assert affine_dim(base) == affine_dim(scaled)
 
 
+unit_interval = st.fractions(min_value=0, max_value=1, max_denominator=6)
+
+
+@st.composite
+def segment_families(draw):
+    """A segment in dimension 1 to 3 (sometimes a single point) and 1 to 4
+    polytopes: random hulls, hulls holding the whole segment, and pieces of
+    the segment."""
+    dim = draw(st.integers(1, 3))
+    point = vectors(dim).map(as_vector)
+    a = draw(point)
+    b = a if draw(st.integers(0, 4)) == 0 else draw(point)
+    family = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["random", "holds_segment", "piece"]))
+        if kind == "random":
+            points = draw(st.lists(point, min_size=1, max_size=4))
+        elif kind == "holds_segment":
+            points = [a, b, *draw(st.lists(point, max_size=2))]
+        else:
+            s, t = draw(st.tuples(unit_interval, unit_interval))
+            points = [vector_add(a, vector_scale(vector_sub(b, a), u)) for u in (s, t)]
+        family.append(extreme_points(points))
+    return a, b, family
+
+
 class TestSegmentCoverage:
     def test_two_touching_segments(self):
         family = [
@@ -433,6 +461,30 @@ class TestSegmentCoverage:
     def test_degenerate_point_segment(self, triangle):
         assert segment_covered(V(0, 0), V(0, 0), [triangle])
         assert not segment_covered(V(5, 5), V(5, 5), [triangle])
+
+    @settings(max_examples=150)
+    @given(segment_families(), st.randoms(use_true_random=False))
+    def test_early_stop_matches_full_scan_in_any_order(self, case, rng):
+        a, b, family = case
+        expected = full_scan_gap(a, b, family)
+        assert segment_uncovered_gap(a, b, family) == expected
+        shuffled = list(family)
+        rng.shuffle(shuffled)
+        assert segment_uncovered_gap(a, b, shuffled) == expected
+
+    def test_scan_stops_at_the_first_member_holding_the_segment(self, monkeypatch):
+        calls = []
+        interval = exactgeom.segment_interval
+
+        def counted(polytope, a, b):
+            calls.append(polytope)
+            return interval(polytope, a, b)
+
+        monkeypatch.setattr(exactgeom, "segment_interval", counted)
+        half = extreme_points([V(0, 0), V(1, 0)])
+        whole = extreme_points([V(0, 0), V(2, 0), V(0, 2)])
+        assert segment_uncovered_gap(V(0, 0), V(2, 0), [half, whole, half]) is None
+        assert calls == [half, whole]
 
 
 def leibniz_det(matrix):
@@ -495,6 +547,25 @@ def matrix_and_point(draw):
     return rows, basis_size, x
 
 
+@st.composite
+def span_cases(draw):
+    """A basis of 0 to 3 vectors in dimension 1 to 4 and a polytope whose
+    points are each a combination of the basis or a fresh vector."""
+    dim = draw(st.integers(1, 4))
+    basis = [as_vector(v) for v in draw(st.lists(vectors(dim), max_size=3))]
+    points = []
+    for _ in range(draw(st.integers(1, 5))):
+        if basis and draw(st.booleans()):
+            coeffs = draw(st.lists(rationals, min_size=len(basis), max_size=len(basis)))
+            points.append(tuple(
+                sum((c * v[k] for c, v in zip(coeffs, basis)), Fraction(0))
+                for k in range(dim)
+            ))
+        else:
+            points.append(as_vector(draw(vectors(dim))))
+    return SubspaceBasis(tuple(basis)), extreme_points(points)
+
+
 class TestSpan:
     def test_plane_contains_triangle(self):
         basis = SubspaceBasis((V(1, 0, 0, 0), V(0, 1, 0, 0)))
@@ -524,6 +595,39 @@ class TestSpan:
         basis = SubspaceBasis(tuple(rows[:basis_size]))
         inside = minor_rank(rows[:basis_size] + [x]) == minor_rank(rows[:basis_size])
         assert in_span(basis, RationalPolytope(len(x), (x,))) == inside
+
+    def test_first_outside_vertex_is_reported(self):
+        basis = SubspaceBasis((V(1, 0),))
+        poly = extreme_points([V(0, 0), V(1, 0), V(1, 1)])
+        assert vertex_outside_span(basis, poly) == V(1, 1)
+        # With an empty basis, the first non-zero vertex is outside.
+        corner = extreme_points([V(0, 0), V(0, 2), V(1, 0)])
+        assert vertex_outside_span(SubspaceBasis(()), corner) == V(0, 2)
+
+    @settings(max_examples=150)
+    @given(span_cases())
+    def test_vertex_outside_span_matches_per_vertex_scan(self, case):
+        basis, poly = case
+        base = rank_of(basis.basis)
+        expected = next(
+            (v for v in poly.vertices if rank_of([*basis.basis, v]) != base), None
+        )
+        assert vertex_outside_span(basis, poly) == expected
+
+    def test_passing_block_takes_two_eliminations(self, monkeypatch):
+        computation = compute(genus2_full())
+        [block] = computation.blocks
+        span = support_span(block.key, computation.model)
+        calls = []
+        eliminate = exactgeom._eliminate
+
+        def counted(rows, cols):
+            calls.append(len(rows))
+            return eliminate(rows, cols)
+
+        monkeypatch.setattr(exactgeom, "_eliminate", counted)
+        assert vertex_outside_span(span, block.polytope) is None
+        assert len(calls) == 2
 
     @given(st.lists(vectors(3), min_size=1, max_size=5), st.integers(1, 4))
     def test_rank_scale_invariant(self, rows, factor):

@@ -56,6 +56,8 @@ GOLDEN = {
     ("exp_family(4)", "compute"): (0, "6abfe6f64cd81cdcf1b85c353af0b75dfc61b7e2572087ea5a4dbe2d22488eda", "2971c1864f826949a5766ed624b1e12dd82acc9a06b09f59aa935ed04fbd8b45"),
     ("exp_family(4)", "check"): (0, "ffc2bbf6098483a214d5dfcfd6f693389d654979e6d86c71bb3d94daeae4b12e", "fee8a6827234b5b1ac8ec30f0e505ebd9aadc5aa6cd0958217bcedff700e3cee"),
     ("exp_family(4)", "check_all"): (0, "d18df6244de11d0239ab7665ae7d2158e2e614f4479d5827c149143322f78530", "7348d7b983643dddbc71e9d2de15fdb9e64cd63993e82b9dee292f909e0b62b9"),
+    ("exp_family(5)", "check"): (0, "d04b9f96aed68bd29fb10ece9289c02102931795ff4b25afa528fa30ac35d853", "4d7ce644d4eaf186f41aea27c51b58334ce04b1cb9b064026d811f242a4e98de"),
+    ("exp_family(5)", "check_all"): (0, "a24b2da008a5871b81bb1f091d5fa1b00078db9acdc7dad14b4c720f7f856dfe", "1c0f95c0385e96f80a2cf503a2c60879c0d3c571216658f7ca3e7869826025a3"),
 }
 
 
