@@ -5,7 +5,9 @@ oracle recomputes it from all bounded cycles with repetitions.  The two
 hulls must agree exactly (canonical forms are compared with ==).  Then a
 thousand seeded pseudo-random chain averages are checked against the chain
 polytope: every one is a convex combination of periodic word means, so every
-one must pass the exact membership LP.
+one must lie inside it.  The chain polytope is a simplex, so each exact
+membership test is a handful of integer sign tests on its kernel; each
+sample comes as a homogeneous integer column, the form those tests read.
 """
 
 import random

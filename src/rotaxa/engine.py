@@ -14,6 +14,7 @@ render; :func:`run_checks` calls only the checks requested.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Sequence
 
 from . import analysis
@@ -31,8 +32,8 @@ from .errors import ModelValidationError, ResourceCapError
 from .exactgeom import (
     HomogeneousPoint,
     RationalPolytope,
+    SubspaceBasis,
     contains_point,
-    homogeneous,
     vertex_outside_span,
 )
 from .heteroclinic import Chain, chain_rotation_set, maximal_nontrivial_chains
@@ -42,7 +43,8 @@ from .oracle import sample_chain_averages
 
 # Oracle samples past which the chain-sampling check raises ResourceCapError
 # before drawing any.  Every sample is kept until it is tested: 10^5 samples
-# of genus2_full take seconds and 27 MiB more peak memory than 10^3.
+# of genus2_full take about 2 s and 10 MiB more peak memory than 10^3 (on a
+# 2-vCPU host).
 SAMPLE_CAP = 100_000
 
 
@@ -200,12 +202,18 @@ def _support_variants(computation: Computation) -> CheckOutcome:
 
 
 def _subspace_containment(computation: Computation) -> CheckOutcome:
-    """Each block lies in the span of its support's subspaces."""
+    """Each block lies in the span of its support's subspaces.
+
+    Blocks that share a support share one basis, built once and kept with
+    its integer rows and rank for the call.
+    """
+    spans: dict[frozenset[str], SubspaceBasis] = {}
     issues: list[str] = []
     for block in computation.blocks:
-        v = vertex_outside_span(
-            support_span(block.key, computation.model), block.polytope
-        )
+        support = block.key.support
+        if support not in spans:
+            spans[support] = support_span(block.key, computation.model)
+        v = vertex_outside_span(spans[support], block.polytope)
         if v is not None:
             issues.append(
                 f"block {block.key.label()}: vertex "
@@ -215,13 +223,19 @@ def _subspace_containment(computation: Computation) -> CheckOutcome:
 
 
 def _chain_in_block(computation: Computation) -> CheckOutcome:
-    """Each chain polytope lies in every block the chain contributes to."""
+    """Each chain polytope lies in every block the chain contributes to.
+
+    A block whose polytope equals the chain's holds it with no test.
+    """
     polytopes = {data.chain: data.polytope for data in computation.chains}
     issues: list[str] = []
     for block in computation.blocks:
         for chain in block.chains:
-            den, rows = polytopes[chain].integer_vertices
-            for v, row in zip(polytopes[chain].vertices, rows):
+            polytope = polytopes[chain]
+            if polytope == block.polytope:
+                continue
+            den, rows = polytope.integer_vertices
+            for v, row in zip(polytope.vertices, rows):
                 if not contains_point(block.polytope, HomogeneousPoint((*row, den))):
                     issues.append(
                         f"chain {'<'.join(chain)}: vertex "
@@ -276,8 +290,12 @@ def _chain_sampling(
 ) -> CheckOutcome:
     """Seeded chain averages must land in their chain polytope and blocks.
 
-    Each sample is converted to integers once and tested in that form
-    against its chain polytope and every block that pools the chain.
+    Each sample comes as a homogeneous integer column and is tested in that
+    form against its chain polytope and every block that pools the chain,
+    except a block whose polytope equals the chain's (a one-chain block of a
+    chain that holds the origin is that chain's polytope): a sample inside
+    the chain polytope is inside such a block.  A sample is written as
+    rationals only for a failure message.
     """
     if total_samples > SAMPLE_CAP:
         raise ResourceCapError(
@@ -300,20 +318,23 @@ def _chain_sampling(
     failures: list[str] = []
     tested = 0
     for offset, (data, count) in enumerate(zip(chains, counts)):
-        samples = sample_chain_averages(data.chain, table, count, seed + offset)
-        for sample in samples:
+        blocks = [
+            block
+            for block in blocks_by_chain.get(data.chain, ())
+            if block.polytope != data.polytope
+        ]
+        for point in sample_chain_averages(data.chain, table, count, seed + offset):
             tested += 1
-            point = homogeneous(sample)
             if not contains_point(data.polytope, point):
                 failures.append(
-                    f"sample {tuple(str(c) for c in sample)} outside chain "
+                    f"sample {_point_text(point)} outside chain "
                     f"{'<'.join(data.chain)}"
                 )
                 continue
-            for block in blocks_by_chain.get(data.chain, ()):
+            for block in blocks:
                 if not contains_point(block.polytope, point):
                     failures.append(
-                        f"sample {tuple(str(c) for c in sample)} outside block "
+                        f"sample {_point_text(point)} outside block "
                         f"{block.key.label()}"
                     )
     return CheckOutcome(
@@ -322,6 +343,12 @@ def _chain_sampling(
         tuple(failures[:10]),
         {"samples": tested, "violations": len(failures)},
     )
+
+
+def _point_text(point: HomogeneousPoint) -> tuple[str, ...]:
+    """The rational coordinates of a homogeneous column, as strings."""
+    *nums, den = point
+    return tuple(str(Fraction(n, den)) for n in nums)
 
 
 def outcomes_passed(outcomes: Sequence[CheckOutcome]) -> bool:

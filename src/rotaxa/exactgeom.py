@@ -231,7 +231,8 @@ def _simplex_kernel(den: int, verts: Sequence[Sequence[int]]) -> SimplexKernel |
 class HomogeneousPoint(tuple):
     """A rational point ``x`` as its homogeneous integer column
     ``[x·den; den]``, ``den > 0``: the form every exact membership test
-    reads.  Build it with :func:`homogeneous`."""
+    reads.  Build it with :func:`homogeneous`, or from a column already
+    held in integers, as oracle samples are."""
 
     __slots__ = ()
 
@@ -254,6 +255,18 @@ class SubspaceBasis:
     """A (possibly empty) list of spanning vectors for a rational subspace."""
 
     basis: tuple[Vector, ...]
+
+    @cached_property
+    def integer_basis(self) -> tuple[tuple[int, ...], ...]:
+        """The basis vectors as integer rows, converted on first use and
+        kept on this instance."""
+        return integer_rows(self.basis)[1]
+
+    @cached_property
+    def rank(self) -> int:
+        """The dimension of the span, eliminated on first use and kept on
+        this instance."""
+        return integer_rank(self.integer_basis)
 
 
 def _check_uniform(points: Sequence[Vector]) -> int:
@@ -460,18 +473,20 @@ def vertex_outside_span(
 ) -> Vector | None:
     """The first vertex outside the rational span of the basis, or None.
 
-    The basis is converted to integers once.  One rank of the basis stacked
-    with every vertex row decides the passing case; only when that rank
-    exceeds the basis's own are the vertices tested one at a time, so the
-    vertex reported is still the first one outside.
+    The basis's integer rows and rank are kept on the
+    :class:`SubspaceBasis`, so a basis tested against several polytopes is
+    converted and eliminated once.  One rank of the basis stacked with every
+    vertex row decides the passing case; only when that rank exceeds the
+    basis's own are the vertices tested one at a time, so the vertex
+    reported is still the first one outside.
     """
     if subspace.basis and len(subspace.basis[0]) != polytope.dim:
         raise DimensionMismatchError(
             f"basis of length {len(subspace.basis[0])} against dimension {polytope.dim}"
         )
-    basis = integer_rows(subspace.basis)[1]
+    basis = subspace.integer_basis
     rows = polytope.integer_vertices[1]
-    base_rank = integer_rank(basis)
+    base_rank = subspace.rank
     if integer_rank([*basis, *rows]) == base_rank:
         return None
     return next(

@@ -6,7 +6,9 @@ Birkhoff-mean semantics: the hull of average displacements over *all* cycles
 simple-cycle shortcut.  ``sample_chain_averages`` realizes chain limits: a
 convex combination of per-piece periodic-word means is exactly the asymptotic
 average of an orbit shadowing those words in succession, so every sample must
-land in the chain's rotation polytope.
+land in the chain's rotation polytope.  A sample ``x`` is given as its
+homogeneous integer column ``[x·den; den]`` in lowest terms (a
+:class:`~rotaxa.exactgeom.HomogeneousPoint`), the form membership tests read.
 
 Randomness is a documented 64-bit linear congruential generator so that runs
 are reproducible across implementations:
@@ -20,11 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from .errors import ResourceCapError
-from .exactgeom import RationalPolytope, Vector, extreme_points
+from .exactgeom import HomogeneousPoint, RationalPolytope, Vector, extreme_points
 from .heteroclinic import Chain
 from .markov import BasicPieceModel, check_admissible
 
@@ -157,7 +159,7 @@ def sample_chain_averages(
     pieces: Mapping[str, BasicPieceModel],
     samples: int,
     seed: int,
-) -> list[Vector]:
+) -> list[HomogeneousPoint]:
     """Deterministic pseudo-random chain-limit averages.
 
     Each sample draws convex weights and one periodic word per chain member,
@@ -165,10 +167,13 @@ def sample_chain_averages(
     the asymptotic averages realized along the chain, hence must belong to
     the chain's rotation polytope.
 
-    The walk tables of each member are built once per call, and each sample
-    is summed in integers over one common denominator; the draws and values
-    are those of :func:`convex_weights`, :func:`random_periodic_word` and
-    :func:`~rotaxa.markov.word_rotation_vector`.
+    Each sample is returned as the homogeneous integer column of that
+    average in lowest terms, which is what :func:`~rotaxa.exactgeom.homogeneous`
+    gives for the rational vector; membership tests read it as it is.  The
+    walk tables of each member are built once per call, and each distinct
+    word of a member is checked and summed once per call.  The draws and
+    values are those of :func:`convex_weights`, :func:`random_periodic_word`
+    and :func:`~rotaxa.markov.word_rotation_vector`.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -177,26 +182,35 @@ def sample_chain_averages(
     for name in chain:
         graph = pieces[name].graph
         den, ints = graph.integer_displacements()
-        tables.append(
-            (sorted(graph.node_ids), graph.successors(), set(graph.edges), ints, den)
-        )
+        walk = (sorted(graph.node_ids), graph.successors())
+        # The last entry maps each distinct word drawn to its integer total
+        # and scale, or to None when the total is zero.
+        tables.append((walk, set(graph.edges), ints, den, {}))
     dim = len(pieces[chain[0]].graph.nodes[0][1])
-    out: list[Vector] = []
+    out: list[HomogeneousPoint] = []
     for _ in range(samples):
         # Member j adds part_j * total_j / (WEIGHT_DENOMINATOR * scale_j),
         # where scale_j is its word length times its displacement denominator.
+        # A member with a zero weight or a zero total adds nothing, and the
+        # column is reduced to lowest terms, so its scale is left out too.
         terms = []
-        for part, (nodes, succ, edges, ints, den) in zip(
+        for part, (walk, edges, ints, den, words) in zip(
             _weight_parts(len(tables), rng), tables
         ):
-            word = _closed_walk(nodes, succ, rng)
-            check_admissible(word, ints, edges)
-            total = [sum(column) for column in zip(*map(ints.__getitem__, word))]
-            terms.append((part, total, len(word) * den))
+            word = _closed_walk(*walk, rng)
+            if word not in words:
+                check_admissible(word, ints, edges)
+                total = [sum(column) for column in zip(*map(ints.__getitem__, word))]
+                words[word] = (total, len(word) * den) if any(total) else None
+            summed = words[word]
+            if part and summed:
+                terms.append((part, *summed))
         common = lcm(*(scale for _, _, scale in terms))
         value = [0] * dim
         for part, total, scale in terms:
             factor = part * (common // scale)
             value = [v + factor * t for v, t in zip(value, total)]
-        out.append(tuple(Fraction(v, WEIGHT_DENOMINATOR * common) for v in value))
+        value.append(WEIGHT_DENOMINATOR * common)
+        g = gcd(*value)
+        out.append(HomogeneousPoint(v // g for v in value))
     return out

@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import V
+from rotaxa import engine, exactgeom
 from rotaxa import model as model_module
 from rotaxa.conley import (
     ANNULUS,
@@ -24,6 +25,7 @@ from rotaxa.exactgeom import (
     SubspaceBasis,
     affine_dim,
     contains_point,
+    extreme_points,
     rank_of,
     zero_vector,
 )
@@ -291,6 +293,70 @@ class TestVerifyStructure:
         assert check.name == "subspace_containment"
         assert not check.passed
         assert any("outside the support span" in d for d in check.details)
+
+    def test_blocks_of_one_support_share_one_basis(self, monkeypatch):
+        # Both marked variants are blocks over the support SA+SS: its basis
+        # is built and ranked once, then stacked once with each block.
+        computation = compute(marked_model(source_marks=("L", "R")))
+        assert [b.key.support for b in computation.blocks] == [
+            frozenset({"SA", "SS"})
+        ] * 2
+        built, eliminated = [], []
+        build, eliminate = engine.support_span, exactgeom._eliminate
+
+        def counted_build(key, model):
+            built.append(key)
+            return build(key, model)
+
+        def counted_eliminate(rows, cols):
+            eliminated.append(rows)
+            return eliminate(rows, cols)
+
+        monkeypatch.setattr(engine, "support_span", counted_build)
+        monkeypatch.setattr(exactgeom, "_eliminate", counted_eliminate)
+        check, _ = run_checks(computation, subspace=True)
+        assert check.name == "subspace_containment" and check.passed
+        assert len(built) == 1
+        assert len(eliminated) == 3
+
+    def test_chain_in_block_skips_the_chains_own_polytope(self, monkeypatch):
+        # Every block of exp_family(3) is its chain's polytope; a copy that
+        # is equal but not the same instance is skipped too.
+        computation = compute(exp_family(3))
+        first, *rest = computation.blocks
+        copy = replace(first, polytope=extreme_points(first.polytope.vertices))
+        assert copy.polytope == first.polytope
+        assert copy.polytope is not first.polytope
+        computation = replace(computation, blocks=(copy, *rest))
+        tested = []
+
+        def counted(polytope, point):
+            tested.append(point)
+            return contains_point(polytope, point)
+
+        monkeypatch.setattr(engine, "contains_point", counted)
+        _, outcome = run_checks(computation, subspace=True)
+        assert outcome.name == "chain_in_block" and outcome.passed
+        assert tested == []
+
+    def test_chain_vertices_outside_a_smaller_block_are_reported(self):
+        computation = compute(genus2_full())
+        (block,) = computation.blocks
+        origin = extreme_points([zero_vector(4)])
+        computation = replace(
+            computation, blocks=(replace(block, polytope=origin),)
+        )
+        _, outcome = run_checks(computation, subspace=True)
+        assert outcome.name == "chain_in_block" and not outcome.passed
+        assert outcome.details == tuple(
+            f"chain H1<H2: vertex {v} outside block T1+T2|0|0"
+            for v in [
+                ("0", "0", "1", "0"),
+                ("0", "0", "1", "1"),
+                ("1", "0", "0", "0"),
+                ("1", "1", "0", "0"),
+            ]
+        )
 
     def test_budget_formula(self):
         assert block_budget(2) == 128

@@ -24,6 +24,7 @@ COMMANDS = {
         "check", "--star", "--bound", "--subspace", "--interior",
         "--convex-density", "2", "--oracle-samples", "300", "--seed", "7",
     ],
+    "check_sampling": ["check", "--oracle-samples", "1000", "--seed", "1"],
 }
 
 # (model, command) -> (exit code, sha256 of stdout, sha256 of stderr)
@@ -36,6 +37,7 @@ GOLDEN = {
     ("genus2_full", "compute"): (0, "d607b2f605ce959e75368d73711935b6db7c39f9b693631033515ecd349dc6d9", "be4c748c1ff430fd1672abd8a97f13d34a25c1615da257b38f06fdb743ed53ee"),
     ("genus2_full", "check"): (0, "0177b66cd2b391045f7bcd3366a5db1bba9affc8d3ff409db4e4d6df8ca65bda", "9895c5120ad8d244a9056ab5964e793520fda10d75d9405b1d80b36c9968a601"),
     ("genus2_full", "check_all"): (0, "6d5294682eb804e71381077194a8da54be69d5e6b623573de0510fac3d3ecdc4", "be23dbca87af55c3a0805e86e7ab190b9c199b557c6d1020210b6caf51e49203"),
+    ("genus2_full", "check_sampling"): (0, "28af4f25ec172b36281d3c64592bf602946bf04a003b04f162a32345fbbbc1e4", "5c8759fd0b101a18af6be32697d8592dc89cd6e307febfbe6a7e9f78732d83ee"),
     ("genus2_blocks", "validate"): (0, "1df05f50cc9f7a1009619ed8113848b858c6fd3aa21f30ca1bdc1afbe8ba145d", "fa651d5d10a47d574988033d9842e502c3284b57ab470a1263a62c694c365fa9"),
     ("genus2_blocks", "compute"): (0, "7aa81b9db25a5f92f339e69532cdca1fed05c72a5154b37a2cc1baf684b3e85c", "4ceb16393f47ca1fa728566032ab5fd7ef63f857de5b336a7801271439c5c421"),
     ("genus2_blocks", "check"): (0, "505459e818d16579ba6aaaeca6c07367c1bf0ca9629be056f0adc2967ddb47a3", "452d3e2d18e60474c2bc28d91651fe698e5509b43e4e8d18009b2fa79c8fc84e"),
@@ -52,6 +54,7 @@ GOLDEN = {
     ("exp_family(3)", "compute"): (0, "9a7844b7a105cd22969948736617e4256fce72d08338402aa03d11fdfb298783", "cff5ff8b36af9dfb010723b13758e693fdf859d3df1b3d3fc41b0f8c074c1b1c"),
     ("exp_family(3)", "check"): (0, "f5e94d110c69e6d932adf588d1c5469451b8b3a0a2ef346ef0249ccd54c64567", "43841cd65baf8f57eccff682575678351b0eefacd00448a001587a5be971faa8"),
     ("exp_family(3)", "check_all"): (0, "902496c72cbf251760012c8fe5d9d3b0ff30b477a6d981dcf2a79886fe41af53", "29cbc631dcba51473d2b5dd22dd2747467f2d5039f6af94239ed4a7e82b5f12e"),
+    ("exp_family(3)", "check_sampling"): (0, "415ff9381aca6abc5482ed11dab7e446f1e98da3f5c363aabd07c9e6631fb698", "5c8759fd0b101a18af6be32697d8592dc89cd6e307febfbe6a7e9f78732d83ee"),
     ("exp_family(4)", "validate"): (0, "5e347c13a0be81eb3f46e2853247d3df9a473c2956c01e72872d55cb8b2f1a5c", "ca7fc00d1c49885f8d089e1ea68bbd7f357095e3ccae71e515cd0edf837a7f7a"),
     ("exp_family(4)", "compute"): (0, "6abfe6f64cd81cdcf1b85c353af0b75dfc61b7e2572087ea5a4dbe2d22488eda", "2971c1864f826949a5766ed624b1e12dd82acc9a06b09f59aa935ed04fbd8b45"),
     ("exp_family(4)", "check"): (0, "ffc2bbf6098483a214d5dfcfd6f693389d654979e6d86c71bb3d94daeae4b12e", "fee8a6827234b5b1ac8ec30f0e505ebd9aadc5aa6cd0958217bcedff700e3cee"),

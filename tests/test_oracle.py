@@ -8,13 +8,21 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import V
-from rotaxa import exactgeom, oracle, simplex
+from rotaxa import engine, exactgeom, oracle, simplex
 from rotaxa.engine import compute, run_checks
-from rotaxa.errors import ResourceCapError
-from rotaxa.exactgeom import contains_point, extreme_points, zero_vector
-from rotaxa.fixtures import genus2_full, get_fixture
+from rotaxa.errors import InadmissibleWordError, ResourceCapError
+from rotaxa.exactgeom import (
+    HomogeneousPoint,
+    contains_point,
+    extreme_points,
+    homogeneous,
+    zero_vector,
+)
+from rotaxa.fixtures import exp_family, genus2_full, get_fixture
 from rotaxa.markov import (
     CURVED,
     BasicPieceModel,
@@ -95,6 +103,44 @@ class TestLcg:
         assert [a.below(100) for _ in range(20)] == [b.below(100) for _ in range(20)]
 
 
+def reference_samples(chain, table, count, seed):
+    """The samples word by word, as Fraction vectors: the same LCG draws
+    through the public helpers, the word means summed as Fractions."""
+    rng = Lcg64(seed)
+    dim = len(table[chain[0]].graph.nodes[0][1])
+    out = []
+    for _ in range(count):
+        value = [Fraction(0)] * dim
+        weights = convex_weights(len(chain), rng)
+        for weight, name in zip(weights, chain):
+            word = random_periodic_word(table[name], rng)
+            mean = word_rotation_vector(table[name], word)
+            value = [v + weight * m for v, m in zip(value, mean)]
+        out.append(tuple(value))
+    return out
+
+
+@st.composite
+def sampled_chains(draw):
+    """A chain of 1-4 random strongly connected pieces of 1-8 nodes each,
+    with rational displacements in one dimension of 1-4."""
+    dim = draw(st.integers(1, 4))
+    coordinate = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    table = {}
+    for i in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 8))
+        names = [f"n{j}" for j in range(n)]
+        ring = draw(st.permutations(names))
+        edges = {(ring[j], ring[(j + 1) % n]) for j in range(n)}
+        edges |= set(draw(st.lists(st.tuples(*[st.sampled_from(names)] * 2))))
+        nodes = [
+            (name, tuple(draw(st.lists(coordinate, min_size=dim, max_size=dim))))
+            for name in names
+        ]
+        table[f"p{i}"] = curved(nodes, edges, piece_id=f"p{i}")
+    return tuple(table), table
+
+
 class TestSampling:
     def test_weights_are_convex_with_bounded_denominator(self):
         rng = Lcg64(5)
@@ -157,23 +203,36 @@ class TestSampling:
          "exp_family(3)"],
     )
     def test_values_equal_word_by_word_reference(self, fixture):
-        # The reference draws the same LCG values through the public helpers
-        # and sums the word means as Fractions.
         computation = compute(get_fixture(fixture))
         table = computation.model.pieces_by_id()
         for data in computation.chains:
             for seed in (1, 7, 2026):
-                rng = Lcg64(seed)
-                expected = []
-                for _ in range(40):
-                    value = [Fraction(0)] * data.polytope.dim
-                    weights = convex_weights(len(data.chain), rng)
-                    for weight, name in zip(weights, data.chain):
-                        word = random_periodic_word(table[name], rng)
-                        mean = word_rotation_vector(table[name], word)
-                        value = [v + weight * m for v, m in zip(value, mean)]
-                    expected.append(tuple(value))
-                assert sample_chain_averages(data.chain, table, 40, seed) == expected
+                expected = reference_samples(data.chain, table, 40, seed)
+                assert sample_chain_averages(data.chain, table, 40, seed) == [
+                    homogeneous(v) for v in expected
+                ]
+
+    @settings(max_examples=120, deadline=None)
+    @given(sampled_chains(), st.integers(0, 2**64 - 1), st.integers(1, 60))
+    def test_random_chains_equal_word_by_word_reference(self, case, seed, count):
+        chain, table = case
+        samples = sample_chain_averages(chain, table, count, seed)
+        expected = reference_samples(chain, table, count, seed)
+        assert samples == [homogeneous(v) for v in expected]
+        assert all(isinstance(s, HomogeneousPoint) for s in samples)
+
+    def test_memo_keeps_the_admissibility_check(self, monkeypatch):
+        # ("a", "c", "b") has the length and displacement total of the cycle
+        # ("a", "b", "c") but uses the non-edges a -> c and c -> b: a memo
+        # keyed by anything coarser than the word itself would let it pass.
+        piece = curved(
+            [("a", (1, 0)), ("b", (0, 1)), ("c", (1, 1))],
+            [("a", "b"), ("b", "c"), ("c", "a")],
+        )
+        words = iter([("a", "b", "c"), ("b", "c", "a"), ("a", "c", "b")])
+        monkeypatch.setattr(oracle, "_closed_walk", lambda *args: next(words))
+        with pytest.raises(InadmissibleWordError, match="'a' -> 'c'"):
+            sample_chain_averages(("p",), {"p": piece}, 3, seed=1)
 
     def test_determinism(self):
         piece = curved(KWAPISZ_NODES, KWAPISZ_EDGES)
@@ -202,9 +261,30 @@ class TestChainSamplingCheck:
         for module in (simplex, exactgeom):
             monkeypatch.setattr(module, "integer_rows", counted)
         (outcome,) = run_checks(computation, oracle_samples=40)
-        # Each sample is tested against its chain and its block.
+        # Each sample is drawn as an integer column and tested as it is.
         assert outcome.passed and outcome.info["samples"] == 40
-        assert len(converted) == 40
+        assert len(converted) == 0
+
+    def test_each_sample_is_tested_once_per_distinct_polytope(self, monkeypatch):
+        # Every block of exp_family(3) is its one chain's own polytope, so
+        # each sample takes one membership test.
+        computation = compute(exp_family(3))
+        assert all(
+            block.polytope is data.polytope
+            for block in computation.blocks
+            for data in computation.chains
+            if data.chain in block.chains
+        )
+        tested = []
+
+        def counted(polytope, point):
+            tested.append(point)
+            return contains_point(polytope, point)
+
+        monkeypatch.setattr(engine, "contains_point", counted)
+        (outcome,) = run_checks(computation, oracle_samples=1000)
+        assert outcome.passed and outcome.info["samples"] == 1000
+        assert len(tested) == 1000
 
     @pytest.mark.parametrize("shrunk", ["chain", "block"])
     def test_failure_messages(self, shrunk):
