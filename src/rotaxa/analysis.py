@@ -90,8 +90,7 @@ def classify_chain(chain_set: RationalPolytope) -> ChainClassification:
     subset of a line through the origin, missing the origin itself.  Anything
     else is reported as inconsistent (bad model data), never repaired.
     """
-    origin = zero_vector(chain_set.dim)
-    if contains_point(chain_set, origin):
+    if chain_set.holds_origin:
         return ChainClassification(kind=CONTAINS_ZERO)
     # Vertices with one primitive direction lie on one line through the
     # origin; the hull misses the origin, so they are all on one side of it.

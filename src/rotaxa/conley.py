@@ -21,9 +21,8 @@ from .errors import ModelValidationError
 from .exactgeom import (
     RationalPolytope,
     SubspaceBasis,
-    Vector,
+    extreme_points,
     hull_of_union,
-    rank_of,
     zero_vector,
 )
 from .heteroclinic import Chain, HeteroclinicPoset
@@ -125,7 +124,7 @@ def validate_decomposition(model: "ModelDocument") -> list[str]:
                 )
         if ragged:
             continue
-        rank = rank_of(sub.subspace.basis)
+        rank = sub.subspace.rank
         if rank != len(sub.subspace.basis):
             out.append(f"subsurface {sub.id!r} basis is linearly dependent")
         if sub.kind == ANNULUS and rank > 1:
@@ -249,12 +248,17 @@ def chain_marked_support(
 
 def coned(polytope: RationalPolytope) -> RationalPolytope:
     """Hull of the polytope together with the origin; the polytope itself
-    when it holds the origin."""
-    return hull_of_union([polytope], [zero_vector(polytope.dim)])
+    when it holds the origin, which it decides once."""
+    if polytope.holds_origin:
+        return polytope
+    return extreme_points([*polytope.vertices, zero_vector(polytope.dim)])
 
 
 def enumerate_blocks(chains: Sequence[ChainData]) -> list[Block]:
-    """Group chains by marked support and cone each group to the origin."""
+    """Group chains by marked support and cone each group to the origin.
+
+    A group of one chain is its chain's polytope coned, which is that same
+    polytope instance when it holds the origin."""
     groups: dict[MarkedSupport, list[ChainData]] = {}
     for data in chains:
         for key in data.marked_supports:
@@ -263,10 +267,14 @@ def enumerate_blocks(chains: Sequence[ChainData]) -> list[Block]:
     for key in sorted(groups, key=MarkedSupport.sort_key):
         members = groups[key]
         polytopes = [data.polytope for data in members]
+        if len(polytopes) == 1:
+            polytope = coned(polytopes[0])
+        else:
+            polytope = hull_of_union(polytopes, [zero_vector(polytopes[0].dim)])
         blocks.append(
             Block(
                 key=key,
-                polytope=hull_of_union(polytopes, [zero_vector(polytopes[0].dim)]),
+                polytope=polytope,
                 chains=tuple(data.chain for data in members),
             )
         )
@@ -274,8 +282,18 @@ def enumerate_blocks(chains: Sequence[ChainData]) -> list[Block]:
 
 
 def support_span(key: MarkedSupport, model: "ModelDocument") -> SubspaceBasis:
-    """Concatenated basis of the subsurface subspaces in the support."""
-    vectors: list[Vector] = []
-    for sub_id in sorted(key.support):
-        vectors.extend(model.decomposition.subsurface(sub_id).subspace.basis)
-    return SubspaceBasis(basis=tuple(vectors))
+    """Concatenated basis of the subsurface subspaces in the support.
+
+    Its integer rows are the subsurfaces' own, stacked: each subsurface's
+    basis is converted once, however many supports hold it.
+    """
+    subspaces = [
+        model.decomposition.subsurface(sub_id).subspace
+        for sub_id in sorted(key.support)
+    ]
+    span = SubspaceBasis(basis=tuple(v for sub in subspaces for v in sub.basis))
+    # Keep the rows where the cached property would store them.
+    vars(span)["integer_basis"] = tuple(
+        row for sub in subspaces for row in sub.integer_basis
+    )
+    return span

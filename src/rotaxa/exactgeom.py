@@ -120,6 +120,12 @@ class RationalPolytope:
             return None
         return _simplex_kernel(*self.integer_vertices)
 
+    @cached_property
+    def holds_origin(self) -> bool:
+        """Whether the origin lies in the polytope: one kernel sign test or
+        one LP, decided on first use and kept on this instance."""
+        return contains_point(self, homogeneous(zero_vector(self.dim)))
+
 
 @dataclass(frozen=True)
 class SimplexKernel:
@@ -258,8 +264,10 @@ class SubspaceBasis:
 
     @cached_property
     def integer_basis(self) -> tuple[tuple[int, ...], ...]:
-        """The basis vectors as integer rows, converted on first use and
-        kept on this instance."""
+        """The basis vectors as integer rows, each a positive multiple of
+        its vector: converted on first use and kept on this instance, or
+        stacked from other bases' rows by
+        :func:`~rotaxa.conley.support_span`."""
         return integer_rows(self.basis)[1]
 
     @cached_property
@@ -437,12 +445,12 @@ def hull_of_union(
 ) -> RationalPolytope:
     """Hull of the polytopes' vertices together with ``points``.
 
-    One polytope that already holds every extra point is its own hull: that
-    same instance is returned, so no hull is built and its cached
-    ``simplex_kernel`` is reused.
+    One polytope with no extra points is its own hull: that same instance
+    is returned, so no hull is built and its cached ``simplex_kernel`` is
+    reused.
     """
     points = list(points)
-    if len(polytopes) == 1 and all(contains_point(polytopes[0], x) for x in points):
+    if len(polytopes) == 1 and not points:
         return polytopes[0]
     return extreme_points([v for member in polytopes for v in member.vertices] + points)
 

@@ -8,6 +8,22 @@ vectors.  Because any circulation decomposes into simple cycles supported on
 the same node set, the hull over *simple* cycles already equals the hull over
 all cycles, so the computation enumerates simple cycles only; the brute-force
 cross-check over all bounded cycles lives in :mod:`rotaxa.oracle`.
+
+Cycle sums are single integer additions.  With the displacements written
+as integer rows over one denominator, ``n`` nodes and largest entry ``m``,
+each node's row ``d`` is packed into the Python int
+``pack(d) = sum(d[k] * 2**(s*k))``: signed base-``2**s`` digits, where
+``2**s > 2 * n**2 * m``.  ``pack`` is linear, and it is injective on rows
+whose entries are at most ``n**2 * m`` in absolute value: the difference
+``u - v`` of two such rows has entries below ``2**s`` in absolute value,
+so if its lowest non-zero entry is ``e``, at index ``j``, then
+``pack(u - v)`` is ``2**(s*j)`` times an integer congruent to ``e``, not
+to 0, modulo ``2**s``.  A simple cycle has length ``l <= n`` and a sum
+``t`` with entries at most ``n * m``, packed as ``x = pack(t)``.  So two
+cycles have equal means, ``t1 / l1 == t2 / l2``, iff ``l2 * t1 == l1 * t2``,
+whose entries are at most ``n**2 * m``, iff ``x1 * l2 == x2 * l1``: iff the
+rationals ``x1 / l1`` and ``x2 / l2`` are equal, that is, have one key in
+lowest terms.
 """
 
 from __future__ import annotations
@@ -208,18 +224,18 @@ def simple_cycles(graph: MarkovGraph) -> list[tuple[str, ...]]:
     heapify(pending)
     while pending:
         start, component = heappop(pending)
+        # The successors inside the component, filtered once per search.
+        inner = {v: [w for w in succ[v] if w in component] for v in component}
         blocked = {start}
         blocked_map: dict[str, set[str]] = {}
         path = [start]
         # One frame per node on the path: [node, successor iterator,
         # whether a cycle through the node's subtree was found].
-        stack = [[start, iter(succ[start]), False]]
+        stack = [[start, iter(inner[start]), False]]
         while stack:
             frame = stack[-1]
             v, successors, _ = frame
             for w in successors:
-                if w not in component:
-                    continue
                 if w == start:
                     cycles.append(tuple(path))
                     if len(cycles) > DEFAULT_CYCLE_CAP:
@@ -231,7 +247,7 @@ def simple_cycles(graph: MarkovGraph) -> list[tuple[str, ...]]:
                 elif w not in blocked:
                     path.append(w)
                     blocked.add(w)
-                    stack.append([w, iter(succ[w]), False])
+                    stack.append([w, iter(inner[w]), False])
                     break
             else:
                 stack.pop()
@@ -241,9 +257,8 @@ def simple_cycles(graph: MarkovGraph) -> list[tuple[str, ...]]:
                     if stack:
                         stack[-1][2] = True
                 else:
-                    for w in succ[v]:
-                        if w in component:
-                            blocked_map.setdefault(w, set()).add(v)
+                    for w in inner[v]:
+                        blocked_map.setdefault(w, set()).add(v)
         component.discard(start)
         for sub in _cyclic_components(component, succ):
             heappush(pending, (min(sub), sub))
@@ -302,22 +317,33 @@ def _unblock(node: str, blocked: set[str], blocked_map: dict[str, set[str]]) -> 
 
 
 def piece_rotation_set(piece: BasicPieceModel) -> RationalPolytope:
-    """Rotation polytope of the piece: hull of simple-cycle mean displacements."""
-    # Sum cycles as integer vectors over the displacements' common
-    # denominator.  Equal means share one gcd-reduced (total, length) key,
-    # so only one Fraction vector is built per distinct mean.
+    """Rotation polytope of the piece: hull of simple-cycle mean displacements.
+
+    Each cycle is summed as one packed integer (see the module docstring)
+    and keyed by its mean in lowest terms, ``(x // g, len // g)`` with
+    ``g = gcd(x, len)``; one Fraction vector is built per distinct mean.
+    """
     den, ints = piece.graph.integer_displacements()
+    n = len(ints)
+    largest = max((abs(c) for row in ints.values() for c in row), default=0)
+    width = (2 * n * n * largest).bit_length()
+    packed = {
+        name: sum(c << (width * k) for k, c in enumerate(row))
+        for name, row in ints.items()
+    }
     sums = {
-        (tuple(map(sum, zip(*map(ints.__getitem__, cycle)))), len(cycle))
+        (sum(map(packed.__getitem__, cycle)), len(cycle)): cycle
         for cycle in simple_cycles(piece.graph)
     }
-    keys = set()
-    for total, length in sums:
-        g = gcd(length, *total)
-        keys.add((tuple(t // g for t in total), length // g))
-    means = [
-        tuple(Fraction(t, length * den) for t in total) for total, length in keys
-    ]
+    representatives: dict[tuple[int, int], tuple[str, ...]] = {}
+    for (total, length), cycle in sums.items():
+        g = gcd(total, length)
+        representatives.setdefault((total // g, length // g), cycle)
+    means = []
+    for cycle in representatives.values():
+        scale = len(cycle) * den
+        totals = map(sum, zip(*map(ints.__getitem__, cycle)))
+        means.append(tuple(Fraction(t, scale) for t in totals))
     return extreme_points(means)
 
 

@@ -23,13 +23,7 @@ from .conley import (
     chain_support,
     validate_decomposition,
 )
-from .exactgeom import (
-    RationalPolytope,
-    contains_point,
-    homogeneous,
-    integer_rank,
-    zero_vector,
-)
+from .exactgeom import RationalPolytope, contains_point, integer_rank
 from .heteroclinic import Chain, HeteroclinicPoset, validate_poset
 from .markov import TRIVIAL, BasicPieceModel, validate_piece
 from .simplex import integer_rows
@@ -148,11 +142,8 @@ def validate_rotation_data(
                 f"trivial piece {piece.id!r} rotates outside every chain set"
             )
 
-    zero = homogeneous(zero_vector(model.dim))
-    if chain_sets and not any(
-        contains_point(cs, zero) for cs in chain_sets.values()
-    ):
-        if any(contains_point(ps, zero) for ps in piece_sets.values()):
+    if chain_sets and not any(cs.holds_origin for cs in chain_sets.values()):
+        if any(ps.holds_origin for ps in piece_sets.values()):
             warnings.append("origin lies in a piece but in no chain set")
         else:
             warnings.append(

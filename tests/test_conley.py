@@ -229,6 +229,56 @@ class TestBlocks:
         assert block.polytope.vertices == (zero_vector(4), V(2, 0, 0, 0))
         assert coned(data.polytope) == block.polytope
 
+    def test_origin_decided_once_per_polytope(self, monkeypatch):
+        # A ring with self-loops whose hull lies off the origin and is not a
+        # simplex, so each origin decision is one membership LP.  The chain
+        # set, the piece set and the polytope the block cones are one
+        # instance: one decision, where there were three.
+        points = [
+            (1, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1),
+            (2, 1, 1, 1), (2, -1, 0, 0), (1, -1, -1, -1),
+        ]
+        names = "abcdefg"
+        far = BasicPieceModel(
+            id="F",
+            classification=CURVED,
+            graph=graph_from_edges(
+                list(zip(names, points)),
+                [(u, u) for u in names] + list(zip(names, names[1:] + "a")),
+            ),
+        )
+        units = tuple(V(*(int(i == j) for j in range(4))) for i in range(4))
+        model = ModelDocument(
+            genus=2,
+            pieces=(far,),
+            heteroclinic=HeteroclinicPoset(pieces=("F",), edges=()),
+            decomposition=DecompositionModel(
+                subsurfaces=(Subsurface("S", CURVED_SURFACE, SubspaceBasis(units)),),
+                assignment={"F": "S"},
+            ),
+        )
+        origin = (0, 0, 0, 0, 1)
+        decisions = []
+        membership = exactgeom.hull_membership
+
+        def counted(columns, y):
+            if tuple(y) == origin:
+                decisions.append(len(columns))
+            return membership(columns, y)
+
+        monkeypatch.setattr(exactgeom, "hull_membership", counted)
+        computation = compute(model)
+        polytope = computation.piece_sets["F"]
+        assert polytope.simplex_kernel is None
+        assert decisions == [len(polytope.vertices)]
+        assert "origin missing from the global rotation union" in (
+            computation.warnings[0]
+        )
+        (block,) = computation.blocks
+        assert block.polytope.vertices == tuple(
+            sorted((zero_vector(4), *polytope.vertices))
+        )
+
     def test_blocks_contain_origin_and_their_chains(self):
         for model in (genus2_nonconvex(), genus2_full(), genus2_blocks(), exp_family(2)):
             piece_sets = rotation_sets(model.pieces_by_id())
@@ -318,6 +368,29 @@ class TestVerifyStructure:
         assert check.name == "subspace_containment" and check.passed
         assert len(built) == 1
         assert len(eliminated) == 3
+
+    def test_span_check_stacks_each_subsurfaces_rows(self, monkeypatch):
+        # exp_family(4) has 16 blocks, each over its own support.  Validation
+        # converts each subsurface's basis once and keeps its rows; the span
+        # check stacks those rows per support and converts nothing.
+        model = exp_family(4)
+        computation = compute(model)
+        assert len({block.key.support for block in computation.blocks}) == 16
+        assert all(
+            "integer_basis" in vars(sub.subspace)
+            for sub in model.decomposition.subsurfaces
+        )
+        converted = []
+        integer_rows = exactgeom.integer_rows
+
+        def counted(vectors):
+            converted.append(vectors)
+            return integer_rows(vectors)
+
+        monkeypatch.setattr(exactgeom, "integer_rows", counted)
+        check, _ = run_checks(computation, subspace=True)
+        assert check.name == "subspace_containment" and check.passed
+        assert converted == []
 
     def test_chain_in_block_skips_the_chains_own_polytope(self, monkeypatch):
         # Every block of exp_family(3) is its chain's polytope; a copy that

@@ -11,6 +11,8 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
+import random
 
 import pytest
 
@@ -76,4 +78,82 @@ def test_golden_output(model, command):
         code = main([verb, model, *flags])
     assert (code, _sha256(out.getvalue()), _sha256(err.getvalue())) == GOLDEN[
         (model, command)
+    ]
+
+
+def _single_piece_model(nodes: dict, edges) -> dict:
+    """A genus-2 model whose only piece is a curved piece with this graph."""
+    unit = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
+    return {
+        "genus": 2,
+        "pieces": [
+            {
+                "id": "P",
+                "classification": "curved",
+                "graph": {
+                    "nodes": [
+                        {"id": name, "displacement": [str(c) for c in disp]}
+                        for name, disp in nodes.items()
+                    ],
+                    "edges": [list(edge) for edge in sorted(edges)],
+                },
+            }
+        ],
+        "heteroclinic": {"edges": []},
+        "decomposition": {
+            "subsurfaces": [{"id": "T1", "kind": "curved_surface", "basis": unit}],
+            "assignment": {"P": "T1"},
+        },
+    }
+
+
+def _complete_digraph_model() -> dict:
+    """K_8 with self-loops and displacements in [-3, 3]^4: 16,072 simple
+    cycles, each summed on the way to the piece polytope."""
+    rng = random.Random(8)
+    names = [f"k{i}" for i in range(8)]
+    nodes = {name: [rng.randint(-3, 3) for _ in range(4)] for name in names}
+    return _single_piece_model(nodes, [(u, v) for u in names for v in names])
+
+
+def _ring_off_origin_model() -> dict:
+    """A 14-node ring plus 16 chords whose first coordinate is positive on
+    every node, so the piece polytope misses the origin and its block is
+    coned."""
+    rng = random.Random(14)
+    names = [f"r{i:02d}" for i in range(14)]
+    order = names[:]
+    rng.shuffle(order)
+    edges = {(order[i], order[(i + 1) % 14]) for i in range(14)}
+    while len(edges) < 30:
+        edges.add(tuple(rng.sample(names, 2)))
+    nodes = {
+        name: [rng.randint(1, 3)] + [rng.randint(-3, 3) for _ in range(3)]
+        for name in names
+    }
+    return _single_piece_model(nodes, edges)
+
+
+FILE_MODELS = {
+    "K_8": _complete_digraph_model,
+    "ring_14_off_origin": _ring_off_origin_model,
+}
+
+# Model built in the test -> (exit code, sha256 of stdout, sha256 of stderr)
+# of ``compute`` on it.
+GOLDEN_FILES = {
+    "K_8": (0, "44b677810bd9b4e974452b3877c700fe4c836218f1f5e3bdcb8b5b081441a99c", "be4c748c1ff430fd1672abd8a97f13d34a25c1615da257b38f06fdb743ed53ee"),
+    "ring_14_off_origin": (0, "69da66bdbb16b785d2e1ba36f148984f7bcb4c3e3fc353fb283c06ea8d48565a", "be4c748c1ff430fd1672abd8a97f13d34a25c1615da257b38f06fdb743ed53ee"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_FILES))
+def test_golden_compute_on_built_model(name, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(FILE_MODELS[name](), sort_keys=True))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["compute", str(path)])
+    assert (code, _sha256(out.getvalue()), _sha256(err.getvalue())) == GOLDEN_FILES[
+        name
     ]

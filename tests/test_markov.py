@@ -6,6 +6,7 @@ import gc
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -241,6 +242,59 @@ def digraphs(draw):
     node = st.sampled_from(names)
     edges = draw(st.sets(st.tuples(node, node), max_size=3 * len(names)))
     return graph_from_edges([(name, (0,)) for name in names], edges)
+
+
+def tuple_summed_rotation_set(piece: BasicPieceModel):
+    """The piece polytope with each simple cycle summed as a coordinate
+    tuple and each mean keyed by its gcd-reduced ``(total, length)``: the
+    summation that packed integer sums replaced, kept as their oracle."""
+    den, ints = piece.graph.integer_displacements()
+    sums = {
+        (tuple(map(sum, zip(*map(ints.__getitem__, cycle)))), len(cycle))
+        for cycle in simple_cycles(piece.graph)
+    }
+    keys = set()
+    for total, length in sums:
+        g = gcd(length, *total)
+        keys.add((tuple(t // g for t in total), length // g))
+    return extreme_points(
+        tuple(Fraction(t, length * den) for t in total) for total, length in keys
+    )
+
+
+@st.composite
+def strongly_connected_pieces(draw):
+    """A ring through every node plus chords and self-loops, with
+    displacements that are small, or large enough to widen the packing."""
+    n = draw(st.integers(1, 6))
+    dim = draw(st.integers(1, 4))
+    names = [f"n{i}" for i in range(n)]
+    ring = draw(st.permutations(names))
+    node = st.sampled_from(names)
+    edges = {(ring[i], ring[(i + 1) % n]) for i in range(n)}
+    edges |= draw(st.sets(st.tuples(node, node), max_size=2 * n))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(10**40), 10**40))
+    nodes = [
+        (name, draw(st.lists(entry, min_size=dim, max_size=dim))) for name in names
+    ]
+    return curved(nodes, edges)
+
+
+class TestPackedCycleSums:
+    @settings(max_examples=200)
+    @given(strongly_connected_pieces())
+    def test_matches_tuple_summation(self, piece):
+        assert piece_rotation_set(piece) == tuple_summed_rotation_set(piece)
+
+    def test_loops_that_a_narrower_packing_would_merge(self):
+        # The loop means differ by (2^k, -1), which packs to 0 at width k:
+        # a packing that narrow would merge them and lose an endpoint.
+        edges = [("a", "a"), ("b", "b"), ("a", "b"), ("b", "a")]
+        for k in range(1, 160):
+            for h in {1, 2 ** (k - 1)}:
+                a, b = V(-h, 0), V(2**k - h, -1)
+                piece = curved([("a", a), ("b", b)], edges)
+                assert piece_rotation_set(piece).vertices == (a, b)
 
 
 class TestSimpleCycles:
