@@ -248,10 +248,15 @@ def chain_marked_support(
 
 def coned(polytope: RationalPolytope) -> RationalPolytope:
     """Hull of the polytope together with the origin; the polytope itself
-    when it holds the origin, which it decides once."""
+    when it holds the origin, which it decides once.  The polytope's
+    ``vertex_functionals`` go along, so each vertex that its functional
+    still exposes with the origin added is decided with no LP."""
     if polytope.holds_origin:
         return polytope
-    return extreme_points([*polytope.vertices, zero_vector(polytope.dim)])
+    return extreme_points(
+        [*polytope.vertices, zero_vector(polytope.dim)],
+        [*polytope.vertex_functionals, polytope.origin_separation],
+    )
 
 
 def enumerate_blocks(chains: Sequence[ChainData]) -> list[Block]:

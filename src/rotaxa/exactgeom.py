@@ -23,10 +23,15 @@ tests one point against several polytopes converts once.  A point set that
 the elimination shows to be affinely independent is its own vertex set; any
 other hull is LP-certified.  There a point is proved inside by a witness
 simplex, affinely independent points of the set whose hull holds it: the
-basis of a feasible membership LP is one, and its kernel's sign tests then
-decide later points with no LP.  A point is proved a vertex by a Farkas
-functional, and the LP that finds it is resumed with one more column each
-time the functional exposes another vertex.
+basis of a feasible membership LP is one, its kernel is read from the LP's
+final tableau, and its sign tests then decide later points with no LP.  A
+point is proved a vertex by an integer functional that it alone maximizes:
+a Farkas functional, and the LP that finds it is resumed with one more
+column each time the functional exposes another vertex.  The hull keeps
+these functionals (``vertex_functionals``), so when its vertices are hulled
+again with more points (coned to the origin, or pooled with other
+polytopes), each vertex is re-proved by integer dot products, and only the
+vertices whose functional no longer exposes them take an LP.
 """
 
 from __future__ import annotations
@@ -121,10 +126,49 @@ class RationalPolytope:
         return _simplex_kernel(*self.integer_vertices)
 
     @cached_property
+    def vertex_functionals(self) -> tuple[tuple[int, ...] | None, ...]:
+        """For each vertex, an integer functional ``c`` that it alone
+        maximizes among the vertices, or ``None`` where none is known.
+        ``c`` is linear, so it orders points written over any positive
+        denominator the same way.  Stored by :func:`extreme_points` from
+        the LPs that decided the hull; a simplex's are read from its
+        kernel's barycentric rows, each positive at its own vertex and 0 at
+        the others."""
+        kernel = self.simplex_kernel
+        if kernel is None:
+            return (None,) * len(self.vertices)
+        return tuple(row[: self.dim] for row in kernel.barycentric)
+
+    @property
     def holds_origin(self) -> bool:
-        """Whether the origin lies in the polytope: one kernel sign test or
-        one LP, decided on first use and kept on this instance."""
-        return contains_point(self, homogeneous(zero_vector(self.dim)))
+        """Whether the origin lies in the polytope (see
+        :attr:`origin_separation`)."""
+        return self.origin_separation is None
+
+    @cached_property
+    def origin_separation(self) -> tuple[int, ...] | None:
+        """``None`` when the origin lies in the polytope; otherwise an
+        integer functional ``c`` with ``c . v < 0`` at every vertex ``v``,
+        which the origin alone maximizes over the polytope and the origin.
+        One LP's separating functional, or one kernel sign test on a
+        simplex, decided on first use and kept on this instance."""
+        origin = homogeneous(zero_vector(self.dim))
+        kernel = self.simplex_kernel
+        if kernel is None:
+            separation = hull_membership(_columns(self), origin).separation
+            return None if separation is None else separation[0]
+        # A row (a, a0) is 0 at every vertex [v; 1] when affine, >= 0 when
+        # barycentric; at the origin it reads a0.  So an affine row with
+        # a0 != 0 puts a . v = -a0 at every vertex, and a barycentric row
+        # with a0 < 0 puts a . v >= -a0 > 0.
+        for row in kernel.affine:
+            at = _dot(row, origin)
+            if at:
+                return tuple(a if at > 0 else -a for a in row[:-1])
+        for row in kernel.barycentric:
+            if _dot(row, origin) < 0:
+                return tuple(-a for a in row[:-1])
+        return None
 
 
 @dataclass(frozen=True)
@@ -334,21 +378,43 @@ def contains_point(polytope: RationalPolytope, x: Vector | HomogeneousPoint) -> 
     return kernel.contains(y)
 
 
-def extreme_points(points: Iterable[Vector]) -> RationalPolytope:
+def _witness_kernel(lp: LpResult) -> SimplexKernel:
+    """The :class:`SimplexKernel` of a feasible membership LP's basis, read
+    from its final tableau with no elimination.
+
+    The LP's columns are homogeneous points, so a row of its basis inverse
+    that is positive on one basic column and 0 on the others is a
+    barycentric row of the basis simplex, and a row that is 0 on every
+    column is an affine row (:attr:`~rotaxa.simplex.LpResult.basis_inverse`
+    gives both, one per coordinate of ``y``).
+    """
+    return SimplexKernel(*lp.basis_inverse)  # type: ignore[misc]
+
+
+def extreme_points(
+    points: Iterable[Vector], functionals: Sequence[Sequence[int] | None] = ()
+) -> RationalPolytope:
     """Irredundant vertex set of the convex hull of ``points``.
 
     Distinct points that are affinely independent (at most ``dim + 1`` of
     them, every column pivoting in :func:`_simplex_kernel`) are each a
     vertex, so they are returned as they are, with no LP.
 
-    Any other set is decided certificate-driven: the points are decided in
-    lexicographic order, each undecided candidate ``p`` first tested against
-    a small inner approximation of the hull; when that test fails, the LP's
-    separating functional ``c`` either certifies ``p`` as extreme outright
-    (every other point lies strictly below it) or discovers ``best``, the
-    lexicographically largest maximizer of ``c`` over the other points,
-    which joins the approximation.  ``best`` is decided as a vertex on
-    discovery, with no LP of its own:
+    ``functionals[i]``, where given and not ``None``, is an integer
+    functional claimed to expose ``points[i]``: a polytope's
+    ``vertex_functionals``, handed back when its vertices are hulled again
+    with more points.  A claim is checked by integer dot products against
+    every input point; when ``points[i]`` alone maximizes the functional,
+    it is a vertex, decided with no LP, and otherwise the claim is ignored.
+
+    Any other point is decided certificate-driven: the points are decided
+    in lexicographic order, each undecided candidate ``p`` first tested
+    against a small inner approximation of the hull; when that test fails,
+    the LP's separating functional ``c`` either certifies ``p`` as extreme
+    outright (every other point lies strictly below it) or discovers
+    ``best``, the lexicographically largest maximizer of ``c`` over the
+    other points, which joins the approximation.  ``best`` is decided as a
+    vertex on discovery, with no LP of its own:
 
     * if ``c . best > c . p``, or they tie and ``best > p``, then ``best`` is
       the lexicographically largest maximizer of ``c`` over all points, a
@@ -358,20 +424,27 @@ def extreme_points(points: Iterable[Vector]) -> RationalPolytope:
       in the hull of the approximation, which only grows, and ``c`` puts all
       of it strictly below ``c . p = c . best``.
 
-    The second case rests on the lexicographic order.
+    The second case rests on the lexicographic order.  The same fact keeps
+    the search for ``best`` short: only undecided points and vertices
+    decided outside the approximation can reach ``c . p``, so only theirs
+    are read.  Each vertex that ``c`` exposes as the unique maximizer keeps
+    ``c`` in the hull's ``vertex_functionals``.
 
     The LPs reuse each other's work.  When ``best`` joins the approximation,
     the candidate's LP takes it as one more column and resumes its phase 1
     where it ended (:func:`~rotaxa.simplex.resume`), rather than starting
     again from the artificial basis.  When an LP finds ``p`` inside, its
     final basis names affinely independent inner points whose hull holds
-    ``p``: a witness simplex.  Its :class:`SimplexKernel` is kept for the
-    rest of the call, and each later candidate is first tested against the
-    kept kernels by integer sign tests; one that lies in a witness simplex
-    lies in the hull of other points and is decided as inside with no LP.
+    ``p``: a witness simplex, whose :class:`SimplexKernel` the LP's final
+    tableau already holds (:func:`_witness_kernel`).  The kernels are kept
+    for the rest of the call, and each later candidate is first tested
+    against them, newest and most recently hit first, by integer sign
+    tests; one that lies in a witness simplex lies in the hull of other
+    points and is decided as inside with no LP.
 
-    Every verdict is backed by an exact certificate (an elimination, a
-    Farkas functional or a witness simplex), and the routine is idempotent.
+    Every verdict is backed by an exact certificate (an elimination, an
+    exposing functional or a witness simplex), and the routine is
+    idempotent.
     """
     points = list(points)
     if not points:
@@ -392,51 +465,71 @@ def extreme_points(points: Iterable[Vector]) -> RationalPolytope:
             vars(simplex)["simplex_kernel"] = kernel
             return simplex
 
-    inner: list[int] = [0, len(pts) - 1]  # lexicographic extremes are vertices
-    inner_set = set(inner)
+    n = len(pts)
     columns = [(*q, den) for q in ints]
-    is_vertex = [False] * len(pts)
-    decided = [False] * len(pts)
+    is_vertex = [False] * n
+    decided = [False] * n
+    exposing: list[tuple[int, ...] | None] = [None] * n
+    if functionals:
+        position = {q: i for i, q in enumerate(ints)}
+        for q, c in zip(rows, functionals):
+            i = position[q]
+            if c is None or decided[i]:
+                continue
+            values = [_dot(c, r) for r in ints]
+            top = values[i]
+            if max(values) == top and values.count(top) == 1:
+                is_vertex[i] = decided[i] = True
+                exposing[i] = tuple(c)
+    inner: list[int] = [0, n - 1]  # lexicographic extremes are vertices
     is_vertex[0] = is_vertex[-1] = True
     decided[0] = decided[-1] = True
+    # Whether a point may reach c . p for a separating c: neither in
+    # ``inner`` nor decided inside, and not the candidate itself.
+    may_reach = [True] * n
+    may_reach[0] = may_reach[-1] = False
     witnesses: list[SimplexKernel] = []
 
-    for idx in range(len(pts)):
+    for idx in range(n):
         if decided[idx]:
             continue
         decided[idx] = True
+        may_reach[idx] = False
         y = columns[idx]
-        if any(kernel.contains(y) for kernel in witnesses):
+        hit = next((k for k, kernel in enumerate(witnesses) if kernel.contains(y)), -1)
+        if hit >= 0:
+            witnesses.insert(0, witnesses.pop(hit))
             continue
-        # Every point of ``inner`` is decided, so ``p`` is not among them.
         # Column j of the LP is the point inner[j], resumed ones included.
         lp = hull_membership([columns[i] for i in inner], y).lp
         while lp.status == INFEASIBLE:
             c = lp.certificate[:dim]  # type: ignore[index]
-            values = [_dot(c, q) for q in ints]
-            # The functional's maximizer among the other points, ties going
-            # to the lexicographically largest, which is the largest index.
-            best_i = max(
-                (i for i in range(len(pts)) if i != idx),
-                key=lambda i: (values[i], i),
-            )
-            if values[best_i] < values[idx]:
+            top = _dot(c, ints[idx])
+            candidates = [i for i in range(n) if may_reach[i]]
+            values = [_dot(c, ints[i]) for i in candidates]
+            best = max(values, default=top - 1)
+            if best < top:
                 # The whole point set sits strictly below p on c: extreme.
-                is_vertex[idx] = True
+                is_vertex[idx] = may_reach[idx] = True
+                exposing[idx] = c
                 break
-            if best_i in inner_set:  # pragma: no cover
-                raise AssertionError("separation certificate violated")
+            # The maximizer among the other points, ties going to the
+            # lexicographically largest, which is the largest index.
+            last = len(values) - 1 - values[::-1].index(best)
+            best_i = candidates[last]
+            if best > top and values.count(best) == 1 and exposing[best_i] is None:
+                exposing[best_i] = c
             inner.append(best_i)
-            inner_set.add(best_i)
+            may_reach[best_i] = False
             is_vertex[best_i] = decided[best_i] = True
             lp = resume(lp, columns[best_i])
         else:
-            basis = [ints[inner[j]] for j in lp.basis]  # type: ignore[union-attr]
-            witnesses.append(_simplex_kernel(den, basis))  # type: ignore[arg-type]
+            witnesses.insert(0, _witness_kernel(lp))
 
-    keep = [i for i in range(len(pts)) if is_vertex[i]]
+    keep = [i for i in range(n) if is_vertex[i]]
     hull = RationalPolytope(dim, tuple(pts[i] for i in keep))
     vars(hull)["integer_vertices"] = den, tuple(ints[i] for i in keep)
+    vars(hull)["vertex_functionals"] = tuple(exposing[i] for i in keep)
     return hull
 
 
@@ -447,12 +540,17 @@ def hull_of_union(
 
     One polytope with no extra points is its own hull: that same instance
     is returned, so no hull is built and its cached ``simplex_kernel`` is
-    reused.
+    reused.  Otherwise the members' ``vertex_functionals`` are handed to
+    :func:`extreme_points`, so a member vertex that its functional still
+    exposes among all the points is decided with no LP.
     """
     points = list(points)
     if len(polytopes) == 1 and not points:
         return polytopes[0]
-    return extreme_points([v for member in polytopes for v in member.vertices] + points)
+    return extreme_points(
+        [v for member in polytopes for v in member.vertices] + points,
+        [c for member in polytopes for c in member.vertex_functionals],
+    )
 
 
 def affine_dim(polytope: RationalPolytope) -> int:

@@ -23,7 +23,10 @@ to 0, modulo ``2**s``.  A simple cycle has length ``l <= n`` and a sum
 cycles have equal means, ``t1 / l1 == t2 / l2``, iff ``l2 * t1 == l1 * t2``,
 whose entries are at most ``n**2 * m``, iff ``x1 * l2 == x2 * l1``: iff the
 rationals ``x1 / l1`` and ``x2 / l2`` are equal, that is, have one key in
-lowest terms.
+lowest terms.  The packed sum is carried along the cycle search itself
+(:func:`simple_cycles` with ``weights``), one addition per step, and only
+one sum per distinct mean is decoded back into a vector, digit by signed
+digit.
 """
 
 from __future__ import annotations
@@ -205,7 +208,9 @@ def word_rotation_vector(piece: BasicPieceModel, word: PeriodicWord) -> Vector:
     return tuple(c * period for c in total)
 
 
-def simple_cycles(graph: MarkovGraph) -> list[tuple[str, ...]]:
+def simple_cycles(
+    graph: MarkovGraph, weights: Mapping[str, int] | None = None
+) -> list[tuple]:
     """All elementary cycles, by Johnson's algorithm with blocking.
 
     Each cycle appears once, rooted at its smallest node, roots in
@@ -214,9 +219,16 @@ def simple_cycles(graph: MarkovGraph) -> list[tuple[str, ...]]:
     nodes costs O(N), not O(N^2).  Raises :class:`ResourceCapError` when
     more than ``DEFAULT_CYCLE_CAP`` cycles exist; the enumeration is never
     silently truncated.  Explicit stacks replace recursion.
+
+    Without ``weights`` each cycle is its tuple of nodes.  With integer
+    ``weights`` on the nodes, each cycle is ``(sum, length)`` instead, in
+    the same order: the sum of its nodes' weights, carried along the search
+    path so that a cycle costs one addition per step of the search, not one
+    per node.
     """
     succ = graph.successors()
-    cycles: list[tuple[str, ...]] = []
+    weight = weights if weights is not None else dict.fromkeys(succ, 0)
+    cycles: list[tuple] = []
     # Components still to search, keyed by their smallest node.  Components
     # are disjoint, and those of a component minus its root have larger
     # smallest nodes, so roots leave the heap in increasing order.
@@ -230,14 +242,17 @@ def simple_cycles(graph: MarkovGraph) -> list[tuple[str, ...]]:
         blocked_map: dict[str, set[str]] = {}
         path = [start]
         # One frame per node on the path: [node, successor iterator,
-        # whether a cycle through the node's subtree was found].
-        stack = [[start, iter(inner[start]), False]]
+        # whether a cycle through the node's subtree was found, the weight
+        # of the path up to the node].
+        stack = [[start, iter(inner[start]), False, weight[start]]]
         while stack:
             frame = stack[-1]
-            v, successors, _ = frame
+            v, successors, _, total = frame
             for w in successors:
                 if w == start:
-                    cycles.append(tuple(path))
+                    cycles.append(
+                        tuple(path) if weights is None else (total, len(path))
+                    )
                     if len(cycles) > DEFAULT_CYCLE_CAP:
                         raise ResourceCapError(
                             f"simple_cycles: more than {DEFAULT_CYCLE_CAP} "
@@ -247,7 +262,7 @@ def simple_cycles(graph: MarkovGraph) -> list[tuple[str, ...]]:
                 elif w not in blocked:
                     path.append(w)
                     blocked.add(w)
-                    stack.append([w, iter(inner[w]), False])
+                    stack.append([w, iter(inner[w]), False, total + weight[w]])
                     break
             else:
                 stack.pop()
@@ -319,31 +334,37 @@ def _unblock(node: str, blocked: set[str], blocked_map: dict[str, set[str]]) -> 
 def piece_rotation_set(piece: BasicPieceModel) -> RationalPolytope:
     """Rotation polytope of the piece: hull of simple-cycle mean displacements.
 
-    Each cycle is summed as one packed integer (see the module docstring)
-    and keyed by its mean in lowest terms, ``(x // g, len // g)`` with
-    ``g = gcd(x, len)``; one Fraction vector is built per distinct mean.
+    Each cycle is summed as one packed integer (see the module docstring),
+    carried along :func:`simple_cycles`' search, and keyed by its mean in
+    lowest terms, ``(x // g, len // g)`` with ``g = gcd(x, len)``; one
+    packed sum per distinct mean is decoded into a Fraction vector.
     """
     den, ints = piece.graph.integer_displacements()
     n = len(ints)
+    dim = len(next(iter(ints.values())))
     largest = max((abs(c) for row in ints.values() for c in row), default=0)
     width = (2 * n * n * largest).bit_length()
     packed = {
         name: sum(c << (width * k) for k, c in enumerate(row))
         for name, row in ints.items()
     }
-    sums = {
-        (sum(map(packed.__getitem__, cycle)), len(cycle)): cycle
-        for cycle in simple_cycles(piece.graph)
-    }
-    representatives: dict[tuple[int, int], tuple[str, ...]] = {}
-    for (total, length), cycle in sums.items():
+    representatives: dict[tuple[int, int], tuple[int, int]] = {}
+    for total, length in set(simple_cycles(piece.graph, packed)):
         g = gcd(total, length)
-        representatives.setdefault((total // g, length // g), cycle)
+        representatives.setdefault((total // g, length // g), (total, length))
+    # Signed base-2**width digits: each entry of a cycle sum is below
+    # 2**(width - 1) in absolute value.  Width 0 (all displacements 0)
+    # packs every row to 0, and the digits below read 0 too.
+    half, mask = (1 << width) >> 1, (1 << width) - 1
     means = []
-    for cycle in representatives.values():
-        scale = len(cycle) * den
-        totals = map(sum, zip(*map(ints.__getitem__, cycle)))
-        means.append(tuple(Fraction(t, scale) for t in totals))
+    for total, length in representatives.values():
+        scale = length * den
+        mean = []
+        for _ in range(dim):
+            digit = ((total + half) & mask) - half
+            mean.append(Fraction(digit, scale))
+            total = (total - digit) >> width
+        means.append(tuple(mean))
     return extreme_points(means)
 
 

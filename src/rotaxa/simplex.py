@@ -72,6 +72,15 @@ positive optimum again, every reduced cost ``-y . A'_j`` is ``>= 0``, the
 new column's included, and the objective value ``y . b'`` is positive:
 ``y``, flipped back, is again a Farkas certificate for the enlarged LP.
 Otherwise the LP is feasible and goes on to phase 2 as usual.
+
+A feasible LP whose costs are all 0 stops after phase 1 with its
+artificial block intact, so its basis inverse is there to read
+(:attr:`LpResult.basis_inverse`): row ``i`` of ``D B^-1``, its flips
+undone, is positive on the ``i``-th basic column and 0 on the others.  A
+row that phase 1 drops as redundant is 0 on every structural column; its
+artificial block is kept as it stood, a functional that vanishes on every
+column.  The geometry layer reads a witness simplex's barycentric and
+affine rows from these, with no elimination of its own.
 """
 
 from __future__ import annotations
@@ -94,7 +103,7 @@ class _Tableau:
 
     __slots__ = (
         "costs", "columns", "rhs_d", "rhs_g", "flips",
-        "rows", "obj", "basis", "den", "latest",
+        "rows", "obj", "basis", "den", "latest", "redundant",
     )
 
     def __init__(self, costs, columns, rhs_d, rhs_g, flips, rows, obj, basis):
@@ -108,6 +117,8 @@ class _Tableau:
         self.den = 1
         # A weak reference (no cycle) to the infeasible result resume takes.
         self.latest = None
+        # The artificial block of each row that phase 1 drops as redundant.
+        self.redundant = []
 
 
 @dataclass(frozen=True)
@@ -131,6 +142,37 @@ class LpResult:
         if self.status != OPTIMAL:
             return None
         return tuple(self._lp.basis)
+
+    @property
+    def basis_inverse(
+        self,
+    ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]] | None:
+        """``(rows, redundant)`` of an optimal LP whose costs are all 0,
+        read from its final tableau; ``None`` for any other LP.
+
+        Both are integer functionals on the constraint rows (acting on a
+        column ``a`` of the caller's LP, or on its rhs).  ``rows[i]`` is
+        positive on the basic column ``basis[i]`` and 0 on every other basic
+        column; each row of ``redundant`` is 0 on every column.  They are
+        the rows of the artificial block ``D B^-1`` (see the module
+        docstring) with the row flips undone, a redundant row as it stood
+        when phase 1 dropped it: a non-zero multiple of its row at the end,
+        since each later pivot column is 0 in it.  So they are linearly
+        independent, ``len(rows) + len(redundant)`` of them, one per
+        constraint row.
+        """
+        if self.status != OPTIMAL or any(self._lp.costs):
+            return None
+        lp = self._lp
+        n, flips = len(lp.columns), lp.flips
+
+        def unflipped(block):
+            return tuple(a * flip for a, flip in zip(block, flips))
+
+        return (
+            tuple(unflipped(entries[n:-1]) for entries in lp.rows),
+            tuple(unflipped(block) for block in lp.redundant),
+        )
 
     @cached_property
     def solution(self) -> tuple[Fraction, ...] | None:
@@ -259,7 +301,7 @@ def _solve(lp: _Tableau) -> LpResult:
         lp.latest = ref(result)
         return result
 
-    den = _expel_artificials(tableau, basis, n, lp.den)
+    den = _expel_artificials(tableau, basis, n, lp.den, lp.redundant)
     if any(lp.costs):
         # No artificial column can enter again, so phase 2 drops them.
         for entries in tableau:
@@ -360,9 +402,10 @@ def _eliminate(rows, pivot_row, col, den) -> int:
     return p
 
 
-def _expel_artificials(tableau, basis, n, den) -> int:
+def _expel_artificials(tableau, basis, n, den, redundant) -> int:
     """Pivot zero-level artificials out of the basis; drop redundant rows.
 
+    The artificial block of each dropped row is appended to ``redundant``.
     Returns the common denominator after the last pivot.
     """
     i = 0
@@ -375,6 +418,7 @@ def _expel_artificials(tableau, basis, n, den) -> int:
         if col is None:
             # The row is zero on all structural columns: a redundant
             # constraint revealed by phase 1.
+            redundant.append(entries[n:-1])
             del tableau[i]
             del basis[i]
             continue

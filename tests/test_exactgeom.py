@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import V, brute_extreme_2d, brute_membership_2d, full_scan_gap
 from rotaxa import exactgeom
-from rotaxa.conley import support_span
+from rotaxa.conley import coned, support_span
 from rotaxa.engine import compute, run_checks
 from rotaxa.errors import DimensionMismatchError
 from rotaxa.exactgeom import (
@@ -25,6 +25,7 @@ from rotaxa.exactgeom import (
     extreme_points,
     homogeneous,
     hull_membership,
+    hull_of_union,
     in_span,
     rank_of,
     segment_covered,
@@ -194,6 +195,222 @@ class TestExtremePointsOracle:
 
         check()
         assert used["resumes"] > 0 and used["witness_hits"] > 0
+
+
+def exposes(functional, vertex, points):
+    """Whether ``vertex`` alone maximizes the integer functional over the
+    points, decided in Fractions."""
+    top = sum(c * x for c, x in zip(functional, vertex))
+    return all(
+        sum(c * x for c, x in zip(functional, p)) < top
+        for p in set(points)
+        if p != vertex
+    )
+
+
+def assert_functionals_expose(hull, points):
+    functionals = hull.vertex_functionals
+    assert len(functionals) == len(hull.vertices)
+    for vertex, functional in zip(hull.vertices, functionals):
+        if functional is not None:
+            assert all(type(c) is int for c in functional)
+            assert exposes(functional, vertex, points)
+
+
+def _average(points):
+    return tuple(sum(coords, Fraction(0)) / len(points) for coords in zip(*points))
+
+
+@st.composite
+def cone_cases(draw):
+    """Points in dimension 1 to 4, sometimes in a hyperplane, with
+    duplicates, translated so that the origin lies inside their hull, on a
+    face of it (the average of the points a functional maximizes), outside
+    it, or where it falls."""
+    dim = draw(st.integers(1, 4))
+    small = st.integers(-3, 3)
+    points = [
+        tuple(map(Fraction, p))
+        for p in draw(st.lists(st.tuples(*[small] * dim), min_size=1, max_size=10))
+    ]
+    if dim > 1 and draw(st.booleans()):
+        coefficients = [draw(small) for _ in range(dim - 1)]
+        points = [
+            (*p[:-1], sum(a * b for a, b in zip(coefficients, p[:-1]))) for p in points
+        ]
+    points += draw(st.lists(st.sampled_from(points), max_size=3))
+    where = draw(st.sampled_from(["inside", "face", "outside", "as drawn"]))
+    if where == "inside":
+        shift = _average(draw(st.lists(st.sampled_from(points), min_size=1, max_size=4)))
+    elif where == "face":
+        c = draw(st.tuples(*[small] * dim))
+        values = [sum(a * x for a, x in zip(c, p)) for p in points]
+        shift = _average([p for p, v in zip(points, values) if v == max(values)])
+    elif where == "outside":
+        beyond = max(p[0] for p in points) + Fraction(draw(st.integers(1, 6)), 2)
+        shift = (beyond, *(Fraction(draw(small), 2) for _ in range(dim - 1)))
+    else:
+        shift = (Fraction(0),) * dim
+    return [vector_sub(p, shift) for p in points]
+
+
+class TestVertexFunctionals:
+    @settings(max_examples=150)
+    @given(cone_cases())
+    def test_coned_agrees_with_a_hull_from_scratch(self, points):
+        polytope = extreme_points(points)
+        assert_functionals_expose(polytope, points)
+        origin = (Fraction(0),) * len(points[0])
+        cone = coned(polytope)
+        assert cone.vertices == brute_vertices([*points, origin])
+        assert cone == extreme_points([*polytope.vertices, origin])
+        assert_functionals_expose(cone, [*points, origin])
+        if polytope.holds_origin:
+            assert cone is polytope
+        else:
+            # The origin alone maximizes its separating functional.
+            assert exposes(polytope.origin_separation, origin, [*points, origin])
+
+    @settings(max_examples=150)
+    @given(cone_cases(), st.data())
+    def test_hull_of_union_agrees_with_a_hull_from_scratch(self, points, data):
+        groups = data.draw(
+            st.lists(st.integers(0, 2), min_size=len(points), max_size=len(points))
+        )
+        members = [
+            extreme_points([p for p, g in zip(points, groups) if g == k])
+            for k in sorted(set(groups))
+        ]
+        extra = data.draw(st.lists(st.sampled_from([*points, _average(points)]), max_size=3))
+        union = hull_of_union(members, extra)
+        assert union.vertices == brute_vertices([*points, *extra])
+        assert union == extreme_points([*points, *extra])
+        assert_functionals_expose(union, [*points, *extra])
+
+    def test_simplex_functionals_are_barycentric_rows(self):
+        triangle = extreme_points([V(0, 0), V(3, 0), V(0, 2)])
+        assert triangle.simplex_kernel is not None
+        assert_functionals_expose(triangle, triangle.vertices)
+        assert None not in triangle.vertex_functionals
+
+    def test_certified_vertices_take_no_lp(self, monkeypatch):
+        # The twelve lattice points on the circle of radius 5, and the points
+        # inside it.  Six vertices keep a functional from the LPs that
+        # decided them; the lexicographic extremes took no LP, and four were
+        # found as maximizers that tie.  Hulled again with the origin
+        # inside, no certified vertex needs an LP.
+        disc = [V(x, y) for x in range(-5, 6) for y in range(-5, 6) if x * x + y * y <= 25]
+        polygon = extreme_points(disc)
+        assert len(polygon.vertices) == 12
+        certified = [
+            homogeneous(v)
+            for v, c in zip(polygon.vertices, polygon.vertex_functionals)
+            if c is not None
+        ]
+        assert len(certified) == 6
+        lps = []
+        membership = exactgeom.hull_membership
+
+        def counted(columns, y):
+            lps.append(tuple(y))
+            return membership(columns, y)
+
+        monkeypatch.setattr(exactgeom, "hull_membership", counted)
+        hull = hull_of_union([polygon], [V(0, 0)])
+        assert hull == polygon and hull is not polygon
+        assert (0, 0, 1) in lps
+        assert not set(lps) & set(certified)
+
+    def test_a_stale_functional_falls_back_to_the_lp(self, monkeypatch):
+        # (1, 1) is maximized by (2, 2) alone, not by the centre, and (1, 0)
+        # ties (2, 0) with (2, 2): neither claim holds, so both points go
+        # to LPs, and the centre is decided inside.
+        square = [V(0, 0), V(0, 2), V(2, 0), V(2, 2)]
+        lps = []
+        membership = exactgeom.hull_membership
+
+        def counted(columns, y):
+            lps.append(tuple(y))
+            return membership(columns, y)
+
+        monkeypatch.setattr(exactgeom, "hull_membership", counted)
+        hull = extreme_points(
+            [V(1, 1), *square], [(1, 1), None, None, (1, 0), None]
+        )
+        assert hull.vertices == tuple(square)
+        assert (1, 1, 1) in lps and (2, 0, 1) in lps
+        assert_functionals_expose(hull, square)
+        # A claim that holds spares the LP.
+        lps.clear()
+        hull = extreme_points([V(1, 1), *square], [None, None, None, (1, -1), None])
+        assert hull.vertices == tuple(square)
+        assert (2, 0, 1) not in lps
+        assert hull.vertex_functionals[2] == (1, -1)
+
+
+class TestWitnessKernels:
+    def test_lp_kernels_agree_with_eliminated_kernels(self):
+        # Each witness kernel read from an LP's basis inverse gives the
+        # sign tests of the kernel eliminated from the same basis points, on
+        # every point of the set: whether it lies on the affine hull, and
+        # there the sign of each barycentric coordinate.  Counted over all
+        # examples.
+        seen = {"tests": 0, "dropped_rows": 0}
+        witness_kernel = exactgeom._witness_kernel
+
+        def compared(points):
+            kernels = []
+
+            def recorded(lp):
+                kernel = witness_kernel(lp)
+                kernels.append((lp, kernel))
+                return kernel
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(exactgeom, "_witness_kernel", recorded)
+                extreme_points(points)
+            queries = [homogeneous(p) for p in set(points)]
+            for lp, kernel in kernels:
+                basis = []
+                for var in lp.basis:
+                    column = lp._lp.columns[var][0]
+                    basis.append(tuple(Fraction(a, column[-1]) for a in column[:-1]))
+                den, rows = exactgeom.integer_rows(basis)
+                reference = exactgeom._simplex_kernel(den, rows)
+                seen["dropped_rows"] += bool(lp.basis_inverse[1])
+                for y in queries:
+                    on_hull = [
+                        all(exactgeom._dot(r, y) == 0 for r in k.affine)
+                        for k in (kernel, reference)
+                    ]
+                    assert on_hull[0] == on_hull[1]
+                    if on_hull[0]:
+                        # Barycentric signs mean something on the affine hull.
+                        assert [
+                            _sign(exactgeom._dot(r, y)) for r in kernel.barycentric
+                        ] == [
+                            _sign(exactgeom._dot(r, y)) for r in reference.barycentric
+                        ]
+                    assert kernel.contains(y) == reference.contains(y)
+                    seen["tests"] += 1
+
+        @settings(max_examples=150)
+        @given(crowded_sets())
+        def crowded(points):
+            compared(points)
+
+        @settings(max_examples=150)
+        @given(sheared_grid_sets())
+        def sheared(points):
+            compared(points)
+
+        crowded()
+        sheared()
+        assert seen["tests"] > 1000 and seen["dropped_rows"] > 0
+
+
+def _sign(value):
+    return (value > 0) - (value < 0)
 
 
 class TestMembership:

@@ -303,6 +303,30 @@ class TestSimpleCycles:
     def test_matches_plain_depth_first_search(self, graph):
         assert simple_cycles(graph) == plain_simple_cycles(graph)
 
+    @settings(max_examples=200)
+    @given(digraphs(), st.data())
+    def test_weighted_cycles_are_summed_node_tuples(self, graph, data):
+        # One (sum, length) per cycle, in the order and number of the node
+        # tuples; weights as wide as packed displacement rows.
+        entry = st.one_of(st.integers(-3, 3), st.integers(-(10**40), 10**40))
+        weights = {name: data.draw(entry) for name in graph.node_ids}
+        assert simple_cycles(graph, weights) == [
+            (sum(weights[v] for v in cycle), len(cycle))
+            for cycle in simple_cycles(graph)
+        ]
+
+    def test_all_zero_displacements_pack_at_width_zero(self):
+        # Every packed row is 0 and every digit decodes to 0, as on the
+        # trivial pieces of exp_family.
+        names = "abcd"
+        for dim in (1, 4):
+            piece = curved(
+                [(name, (0,) * dim) for name in names],
+                [(u, v) for u in names for v in names],
+            )
+            assert len(simple_cycles(piece.graph)) == 24
+            assert piece_rotation_set(piece).vertices == (V(*(0,) * dim),)
+
     def test_counts_on_complete_digraph(self):
         piece = curved(KWAPISZ_NODES, KWAPISZ_EDGES)
         cycles = simple_cycles(piece.graph)

@@ -479,3 +479,74 @@ def test_cycle_mean_hull_lps_read_small_integer_columns(mixed_length_hull):
     # the lcm of all cycle lengths instead, the pivot rows reached 78 bits
     # (median 32) on this piece, and 87 bits on the benchmark's pieces.
     assert max(mixed_length_hull["row_bits"]) <= 16
+
+
+def test_witness_simplex_tests_are_pinned():
+    # Witness simplices are tested newest first, and a hit moves to the
+    # front; scanned oldest first, the mixed-length piece took 1,428 kernel
+    # tests instead of 1,115.  The LPs, and so the pins above, are the same.
+    piece = BasicPieceModel(
+        id="P",
+        classification="curved",
+        graph=graph_from_edges(MIXED_LENGTH_NODES.items(), MIXED_LENGTH_EDGES),
+    )
+    tests = [0]
+    contains = exactgeom.SimplexKernel.contains
+
+    def counted(kernel, y):
+        tests[0] += 1
+        return contains(kernel, y)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exactgeom.SimplexKernel, "contains", counted)
+        hull = piece_rotation_set(piece)
+    assert len(hull.vertices) == 35
+    assert tests[0] == 1115
+
+
+def _rank(rows):
+    """Rank over Q by Fraction Gauss-Jordan, independent of the kernels."""
+    rows = [[F(a) for a in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=300)
+@given(small_lps(), st.booleans())
+def test_basis_inverse_of_a_feasibility_lp(lp, duplicate):
+    # Zero costs, so the LP stops after phase 1; a duplicated row makes
+    # phase 1 drop one as redundant.
+    _, rows, rhs = lp
+    if duplicate:
+        rows, rhs = [*rows, [2 * a for a in rows[0]]], [*rhs, 2 * rhs[0]]
+    n = len(rows[0])
+    res = solve_lp([F(0)] * n, rows, rhs)
+    assume(res.status == OPTIMAL)
+    inverse, redundant = res.basis_inverse
+    columns = [[row[j] for row in rows] for j in range(n)]
+    assert len(inverse) == len(res.basis)
+    assert len(inverse) + len(redundant) == len(rows)
+    assert _rank([*inverse, *redundant]) == len(rows)
+    for i, functional in enumerate(inverse):
+        assert all(type(a) is int for a in functional)
+        for k, var in enumerate(res.basis):
+            value = _dot(functional, columns[var])
+            assert value > 0 if k == i else value == 0
+    for functional in redundant:
+        assert all(_dot(functional, column) == 0 for column in columns)
+        assert _dot(functional, rhs) == 0
+
+
+def test_basis_inverse_needs_zero_costs_and_feasibility():
+    assert solve_lp([F(1), F(0)], [[F(1), F(1)]], [F(3)]).basis_inverse is None
+    assert solve_lp([F(0)], [[F(1)]], [F(-1)]).basis_inverse is None

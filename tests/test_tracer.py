@@ -1,0 +1,92 @@
+"""The benchmark's tracer against the program it traces.
+
+``perfbench/tracer.py`` wraps program functions by their names.  A name
+that no longer resolves, or a layer that a workload no longer reaches, reads
+zero in the benchmark's per-layer metrics; these tests catch either before
+a benchmark run does.  The tracer and the workload builder are loaded from
+their files and not edited.
+"""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import rotaxa
+from rotaxa import engine, exactgeom, serialize
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# Traced names the program no longer has, each recorded in ROADMAP (D11) for
+# the next change to the benchmark, which should drop it from the tracer.
+GONE = {"conley.verify_structure"}
+
+
+def _load(name: str):
+    """The benchmark module ``name``, loaded from its file under a name of
+    its own (registered, as dataclasses need)."""
+    qualified = f"perfbench_{name}"
+    if qualified not in sys.modules:
+        spec = importlib.util.spec_from_file_location(qualified, PERFBENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[qualified] = module
+        spec.loader.exec_module(module)
+    return sys.modules[qualified]
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    return _load("tracer")
+
+
+@pytest.fixture(scope="module")
+def piece_hull_jobs():
+    workloads = _load("workloads")
+    return workloads.build_jobs("piece_hulls", workloads.DEFAULT_SEED, rotaxa)
+
+
+def test_every_traced_name_resolves(tracer):
+    names = [*tracer.TRACED, *tracer.COUNTED]
+    assert names
+    for qualified in names:
+        module, attr = qualified.rsplit(".", 1)
+        found = getattr(importlib.import_module(f"rotaxa.{module}"), attr, None)
+        if qualified in GONE:
+            assert found is None, f"{qualified} is back: take it out of GONE"
+        else:
+            assert callable(found), f"{qualified} is traced but not in the program"
+
+
+@pytest.mark.parametrize(
+    ("index", "cycles", "hulls"),
+    [
+        # K_8 with self-loops holds the origin: its piece hull only.
+        (0, 16072, 1),
+        # A random piece misses the origin: its piece hull, then its cone.
+        (1, None, 2),
+    ],
+)
+def test_a_traced_compute_records_every_piece_hull_layer(
+    tracer, piece_hull_jobs, index, cycles, hulls
+):
+    job = piece_hull_jobs[index]
+    traced = tracer.Tracer()
+    traced.install()
+    try:
+        with traced.job():
+            engine.compute(serialize.load_model(job.document))
+    finally:
+        traced.uninstall()
+    metrics = tracer.layer_metrics(traced.spans, traced.counts)
+    assert metrics["markov.simple_cycles.cycles"] == cycles or (
+        cycles is None and metrics["markov.simple_cycles.cycles"] > 0
+    )
+    assert metrics["exactgeom.extreme_points.calls"] == hulls
+    assert metrics["simplex.solve_lp.calls"] > 0
+    assert metrics["simplex.pivots"] > 0
+    # Uninstalling puts every binding back.
+    assert rotaxa.conley.extreme_points is exactgeom.extreme_points
