@@ -1,6 +1,7 @@
 """Two independent routes to the same polytope, plus chain-limit sampling.
 
-The engine computes a piece's rotation set from simple cycles only; the
+The engine computes a piece's rotation set from one simple cycle per node
+set, since a simple cycle's mean depends only on the nodes it visits; the
 oracle recomputes it from all bounded cycles with repetitions.  The two
 hulls must agree exactly (canonical forms are compared with ==).  Then a
 thousand seeded pseudo-random chain averages are checked against the chain

@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import ModelValidationError
 from .exactgeom import (
+    HomogeneousPoint,
     RationalPolytope,
     SubspaceBasis,
     extreme_points,
@@ -249,12 +250,15 @@ def chain_marked_support(
 def coned(polytope: RationalPolytope) -> RationalPolytope:
     """Hull of the polytope together with the origin; the polytope itself
     when it holds the origin, which it decides once.  The polytope's
+    ``integer_vertices`` go to the hull as they are, and its
     ``vertex_functionals`` go along, so each vertex that its functional
     still exposes with the origin added is decided with no LP."""
     if polytope.holds_origin:
         return polytope
+    den, rows = polytope.integer_vertices
+    origin = HomogeneousPoint((0,) * polytope.dim + (1,))
     return extreme_points(
-        [*polytope.vertices, zero_vector(polytope.dim)],
+        [*(HomogeneousPoint((*row, den)) for row in rows), origin],
         [*polytope.vertex_functionals, polytope.origin_separation],
     )
 

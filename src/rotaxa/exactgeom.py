@@ -7,8 +7,9 @@ irredundant vertices, so structural equality of two polytopes is the same
 thing as geometric equality.  No tolerances exist anywhere: every decision
 is exact.
 
-A polytope also keeps its vertices as integers over one denominator
-(``integer_vertices``), converted once when its hull is built.  Every exact
+A polytope also keeps its vertices as integers over their least common
+denominator (``integer_vertices``), from the integer rows its hull was built
+on.  Every exact
 rank, span and affine-independence question goes through one fraction-free
 integer Gauss-Jordan elimination (:func:`_eliminate`, after Bareiss 1968).
 A polytope whose vertices are affinely independent (a simplex, which every
@@ -39,12 +40,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import gcd
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatchError
 from .simplex import INFEASIBLE, OPTIMAL, LpResult, integer_rows, resume, solve_lp
+from .simplex import homogeneous_rows, lowest_terms
 
 Vector = tuple[Fraction, ...]
 
@@ -112,8 +115,9 @@ class RationalPolytope:
 
     @cached_property
     def integer_vertices(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """``(den, rows)``: each vertex times a positive common denominator
-        ``den``; stored by :func:`extreme_points`, else converted once."""
+        """``(den, rows)``: each vertex times ``den``, the least positive
+        integer that clears every denominator; stored by
+        :func:`extreme_points`, else converted once."""
         return integer_rows(self.vertices)
 
     @cached_property
@@ -281,8 +285,9 @@ def _simplex_kernel(den: int, verts: Sequence[Sequence[int]]) -> SimplexKernel |
 class HomogeneousPoint(tuple):
     """A rational point ``x`` as its homogeneous integer column
     ``[x·den; den]``, ``den > 0``: the form every exact membership test
-    reads.  Build it with :func:`homogeneous`, or from a column already
-    held in integers, as oracle samples are."""
+    reads, and a form :func:`extreme_points` takes.  Build it with
+    :func:`homogeneous`, or from a column already held in integers, as
+    oracle samples, cycle sums and a polytope's ``integer_vertices`` are."""
 
     __slots__ = ()
 
@@ -392,9 +397,18 @@ def _witness_kernel(lp: LpResult) -> SimplexKernel:
 
 
 def extreme_points(
-    points: Iterable[Vector], functionals: Sequence[Sequence[int] | None] = ()
+    points: Iterable[Vector | HomogeneousPoint],
+    functionals: Sequence[Sequence[int] | None] = (),
 ) -> RationalPolytope:
     """Irredundant vertex set of the convex hull of ``points``.
+
+    The points are rational vectors, converted together by one
+    :func:`~rotaxa.simplex.integer_rows`, or all :class:`HomogeneousPoint`
+    columns, which are brought over one denominator with no conversion
+    (:func:`~rotaxa.simplex.homogeneous_rows`): a polytope's
+    ``integer_vertices`` or a cycle's integer sum give them.  Only the
+    vertices the hull keeps are built as ``Fraction`` vectors, and its
+    ``integer_vertices`` are over their least denominator.
 
     Distinct points that are affinely independent (at most ``dim + 1`` of
     them, every column pivoting in :func:`_simplex_kernel`) are each a
@@ -449,23 +463,18 @@ def extreme_points(
     points = list(points)
     if not points:
         raise ValueError("extreme_points of an empty point set")
-    dim = _check_uniform(points)
-    # The distinct points as integer vectors over one common denominator:
-    # these sort in the points' lexicographic order and hash faster.
-    den, rows = integer_rows(points)
-    by_ints = dict(zip(rows, points))
-    ints = sorted(by_ints)
-    pts = [by_ints[q] for q in ints]
-    if len(pts) <= dim + 1:
+    homogeneous_input = all(isinstance(p, HomogeneousPoint) for p in points)
+    den, rows = (homogeneous_rows if homogeneous_input else integer_rows)(points)
+    dim = _check_uniform(rows)
+    # The distinct points, sorted: integer rows over one denominator sort in
+    # the points' lexicographic order and hash faster.
+    ints = sorted(set(rows))
+    if len(ints) <= dim + 1:
         kernel = _simplex_kernel(den, ints)
         if kernel is not None:
-            simplex = RationalPolytope(dim, tuple(pts))
-            # Keep both where the cached properties would store them.
-            vars(simplex)["integer_vertices"] = den, tuple(ints)
-            vars(simplex)["simplex_kernel"] = kernel
-            return simplex
+            return _polytope(dim, den, ints, simplex_kernel=kernel)
 
-    n = len(pts)
+    n = len(ints)
     columns = [(*q, den) for q in ints]
     is_vertex = [False] * n
     decided = [False] * n
@@ -527,10 +536,21 @@ def extreme_points(
             witnesses.insert(0, _witness_kernel(lp))
 
     keep = [i for i in range(n) if is_vertex[i]]
-    hull = RationalPolytope(dim, tuple(pts[i] for i in keep))
-    vars(hull)["integer_vertices"] = den, tuple(ints[i] for i in keep)
-    vars(hull)["vertex_functionals"] = tuple(exposing[i] for i in keep)
-    return hull
+    exposed = tuple(exposing[i] for i in keep)
+    return _polytope(dim, den, [ints[i] for i in keep], vertex_functionals=exposed)
+
+
+def _polytope(dim: int, den: int, rows: Sequence[tuple[int, ...]], **cached):
+    """The polytope on the vertices ``rows / den``, with ``integer_vertices``
+    over their least denominator and any other ``cached`` properties kept
+    where they would be stored.  Each distinct coordinate is built as a
+    ``Fraction`` once."""
+    den, rows = lowest_terms(den, rows)
+    fractions = {a: Fraction(a, den) for a in set(chain.from_iterable(rows))}
+    vertices = tuple(tuple(map(fractions.__getitem__, row)) for row in rows)
+    polytope = RationalPolytope(dim, vertices)
+    vars(polytope).update(integer_vertices=(den, tuple(rows)), **cached)
+    return polytope
 
 
 def hull_of_union(
@@ -540,15 +560,21 @@ def hull_of_union(
 
     One polytope with no extra points is its own hull: that same instance
     is returned, so no hull is built and its cached ``simplex_kernel`` is
-    reused.  Otherwise the members' ``vertex_functionals`` are handed to
-    :func:`extreme_points`, so a member vertex that its functional still
-    exposes among all the points is decided with no LP.
+    reused.  Otherwise the members' ``integer_vertices`` go to
+    :func:`extreme_points` as homogeneous columns, so no member vertex is
+    converted again.  They are brought over one denominator first, so that
+    a point two members share is one column, and the hull's count of
+    distinct input points is the count of distinct points.  The members'
+    ``vertex_functionals`` go along, so a member vertex that its functional
+    still exposes among all the points is decided with no LP.
     """
     points = list(points)
     if len(polytopes) == 1 and not points:
         return polytopes[0]
+    columns = [y for member in polytopes for y in _columns(member)]
+    den, rows = homogeneous_rows(columns + [homogeneous(p) for p in points])
     return extreme_points(
-        [v for member in polytopes for v in member.vertices] + points,
+        [HomogeneousPoint((*row, den)) for row in rows],
         [c for member in polytopes for c in member.vertex_functionals],
     )
 

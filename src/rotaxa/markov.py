@@ -6,8 +6,14 @@ dynamics pushes a partition element out of the fundamental domain).  The
 rotation set of the piece is the convex hull of cycle-mean displacement
 vectors.  Because any circulation decomposes into simple cycles supported on
 the same node set, the hull over *simple* cycles already equals the hull over
-all cycles, so the computation enumerates simple cycles only; the brute-force
-cross-check over all bounded cycles lives in :mod:`rotaxa.oracle`.
+all cycles.  A simple cycle visits each node of its node set once, so its
+mean is the sum of the displacements over that set divided by the set's
+size: it depends on the node set alone, not on the order of the nodes.  So
+one simple cycle per node set that carries one gives every mean, and the
+computation finds exactly those (:func:`simple_cycles`): the complete
+digraph on 8 nodes with self-loops has 16,072 simple cycles on its 255
+non-empty node sets.  The brute-force cross-check over all bounded cycles
+lives in :mod:`rotaxa.oracle`.
 
 Cycle sums are single integer additions.  With the displacements written
 as integer rows over one denominator, ``n`` nodes and largest entry ``m``,
@@ -25,8 +31,8 @@ whose entries are at most ``n**2 * m``, iff ``x1 * l2 == x2 * l1``: iff the
 rationals ``x1 / l1`` and ``x2 / l2`` are equal, that is, have one key in
 lowest terms.  The packed sum is carried along the cycle search itself
 (:func:`simple_cycles` with ``weights``), one addition per step, and only
-one sum per distinct mean is decoded back into a vector, digit by signed
-digit.
+one sum per distinct mean is decoded back into integer digits, signed digit
+by signed digit, which go to the hull as they are.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import InadmissibleWordError, ResourceCapError
 from .exactgeom import (
+    HomogeneousPoint,
     RationalPolytope,
     Vector,
     extreme_points,
@@ -211,14 +218,22 @@ def word_rotation_vector(piece: BasicPieceModel, word: PeriodicWord) -> Vector:
 def simple_cycles(
     graph: MarkovGraph, weights: Mapping[str, int] | None = None
 ) -> list[tuple]:
-    """All elementary cycles, by Johnson's algorithm with blocking.
+    """One simple cycle per node set that carries one.
 
-    Each cycle appears once, rooted at its smallest node, roots in
-    increasing order.  The search from a root stays in the root's strongly
-    connected component among the nodes at or above it, so a ring of N
-    nodes costs O(N), not O(N^2).  Raises :class:`ResourceCapError` when
-    more than ``DEFAULT_CYCLE_CAP`` cycles exist; the enumeration is never
-    silently truncated.  Explicit stacks replace recursion.
+    Each entry is the lexicographically least cycle on its node set, rooted
+    at the set's smallest node, and the list is in the order in which a
+    plain depth-first search, from each root in increasing order along
+    successors in sorted order, first closes a cycle on each set.
+
+    The search runs over states ``(node set of the path, end node)``, not
+    over paths: two paths with the same state have the same extensions, so
+    each state is expanded at most once, and a node set is emitted the
+    first time a path on it closes back to the root.  The search from a
+    root stays in the root's strongly connected component among the nodes
+    at or above it, so a ring of N nodes costs O(N), not O(N^2).  Raises
+    :class:`ResourceCapError` when more than ``DEFAULT_CYCLE_CAP`` states
+    would be expanded; the search is never silently truncated.  Explicit
+    stacks replace recursion.
 
     Without ``weights`` each cycle is its tuple of nodes.  With integer
     ``weights`` on the nodes, each cycle is ``(sum, length)`` instead, in
@@ -228,7 +243,10 @@ def simple_cycles(
     """
     succ = graph.successors()
     weight = weights if weights is not None else dict.fromkeys(succ, 0)
-    cycles: list[tuple] = []
+    bit = {v: 1 << i for i, v in enumerate(succ)}
+    # The first cycle closed on each node set, keyed by the set's bits.
+    cycles: dict[int, tuple] = {}
+    states, cap = 0, DEFAULT_CYCLE_CAP
     # Components still to search, keyed by their smallest node.  Components
     # are disjoint, and those of a component minus its root have larger
     # smallest nodes, so roots leave the heap in increasing order.
@@ -238,46 +256,34 @@ def simple_cycles(
         start, component = heappop(pending)
         # The successors inside the component, filtered once per search.
         inner = {v: [w for w in succ[v] if w in component] for v in component}
-        blocked = {start}
-        blocked_map: dict[str, set[str]] = {}
-        path = [start]
-        # One frame per node on the path: [node, successor iterator,
-        # whether a cycle through the node's subtree was found, the weight
-        # of the path up to the node].
-        stack = [[start, iter(inner[start]), False, weight[start]]]
+        # For each end node, the node sets of the paths expanded to it.
+        expanded: dict[str, set[int]] = {v: set() for v in component}
+        # One frame per node on the path, each an expanded state: (node,
+        # node set of the path, successor iterator, weight of the path).
+        stack = [(start, bit[start], iter(inner[start]), weight[start])]
+        states += 1
         while stack:
-            frame = stack[-1]
-            v, successors, _, total = frame
+            if states > cap:
+                raise ResourceCapError(
+                    f"simple_cycles: more than {cap} search states ({states} reached)"
+                )
+            _, mask, successors, total = stack[-1]
             for w in successors:
-                if w == start:
-                    cycles.append(
-                        tuple(path) if weights is None else (total, len(path))
-                    )
-                    if len(cycles) > DEFAULT_CYCLE_CAP:
-                        raise ResourceCapError(
-                            f"simple_cycles: more than {DEFAULT_CYCLE_CAP} "
-                            f"simple cycles ({len(cycles)} enumerated)"
-                        )
-                    frame[2] = True
-                elif w not in blocked:
-                    path.append(w)
-                    blocked.add(w)
-                    stack.append([w, iter(inner[w]), False, total + weight[w]])
+                grown = mask | bit[w]
+                if w == start and mask not in cycles:
+                    nodes = tuple(frame[0] for frame in stack)
+                    cycles[mask] = nodes if weights is None else (total, len(nodes))
+                elif grown != mask and grown not in expanded[w]:
+                    states += 1
+                    expanded[w].add(grown)
+                    stack.append((w, grown, iter(inner[w]), total + weight[w]))
                     break
             else:
                 stack.pop()
-                path.pop()
-                if frame[2]:
-                    _unblock(v, blocked, blocked_map)
-                    if stack:
-                        stack[-1][2] = True
-                else:
-                    for w in inner[v]:
-                        blocked_map.setdefault(w, set()).add(v)
         component.discard(start)
         for sub in _cyclic_components(component, succ):
             heappush(pending, (min(sub), sub))
-    return cycles
+    return list(cycles.values())
 
 
 def _cyclic_components(
@@ -322,22 +328,16 @@ def _cyclic_components(
     return components
 
 
-def _unblock(node: str, blocked: set[str], blocked_map: dict[str, set[str]]) -> None:
-    stack = [node]
-    while stack:
-        u = stack.pop()
-        if u in blocked:
-            blocked.discard(u)
-            stack.extend(blocked_map.pop(u, ()))
-
-
 def piece_rotation_set(piece: BasicPieceModel) -> RationalPolytope:
     """Rotation polytope of the piece: hull of simple-cycle mean displacements.
 
-    Each cycle is summed as one packed integer (see the module docstring),
-    carried along :func:`simple_cycles`' search, and keyed by its mean in
-    lowest terms, ``(x // g, len // g)`` with ``g = gcd(x, len)``; one
-    packed sum per distinct mean is decoded into a Fraction vector.
+    The means come from one simple cycle per node set (see the module
+    docstring).  Each cycle is summed as one packed integer, carried along
+    :func:`simple_cycles`' search, and keyed by its mean in lowest terms,
+    ``(x // g, len // g)`` with ``g = gcd(x, len)``.  One packed sum per
+    distinct mean is decoded into its integer digits, which go to
+    :func:`~rotaxa.exactgeom.extreme_points` as the homogeneous column
+    ``[sum; len * den]``, so no mean is built as a ``Fraction`` vector.
     """
     den, ints = piece.graph.integer_displacements()
     n = len(ints)
@@ -358,13 +358,12 @@ def piece_rotation_set(piece: BasicPieceModel) -> RationalPolytope:
     half, mask = (1 << width) >> 1, (1 << width) - 1
     means = []
     for total, length in representatives.values():
-        scale = length * den
-        mean = []
+        digits = []
         for _ in range(dim):
             digit = ((total + half) & mask) - half
-            mean.append(Fraction(digit, scale))
+            digits.append(digit)
             total = (total - digit) >> width
-        means.append(tuple(mean))
+        means.append(HomogeneousPoint((*digits, length * den)))
     return extreme_points(means)
 
 

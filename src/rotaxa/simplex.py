@@ -88,6 +88,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Sequence
 from weakref import ref
@@ -207,6 +208,27 @@ def integer_rows(vectors: Iterable) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return den, tuple(
         tuple(a.numerator * (den // a.denominator) for a in v) for v in vectors
     )
+
+
+def homogeneous_rows(columns: Sequence[Sequence[int]]) -> tuple[int, list]:
+    """``(den, rows)`` for homogeneous integer columns ``[x·d; d]``, each
+    over a positive ``d`` of its own: ``den`` is the lcm of the ``d``, and
+    ``rows[i]`` is the point of ``columns[i]`` times ``den``, read with no
+    ``Fraction``."""
+    den = lcm(*{y[-1] for y in columns})
+    return den, [
+        y[:-1] if y[-1] == den else tuple(a * (den // y[-1]) for a in y[:-1])
+        for y in columns
+    ]
+
+
+def lowest_terms(den: int, rows: Sequence[Sequence[int]]) -> tuple[int, Sequence]:
+    """``(den, rows)`` with ``den`` and every entry divided by their gcd:
+    the same points over the least denominator that clears them."""
+    g = gcd(den, *chain.from_iterable(rows))
+    if g == 1:
+        return den, rows
+    return den // g, [tuple(a // g for a in row) for row in rows]
 
 
 def solve_lp(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -11,11 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import V, brute_extreme_2d, brute_membership_2d, full_scan_gap
-from rotaxa import exactgeom
+from rotaxa import exactgeom, heteroclinic, markov, model, simplex
 from rotaxa.conley import coned, support_span
 from rotaxa.engine import compute, run_checks
 from rotaxa.errors import DimensionMismatchError
 from rotaxa.exactgeom import (
+    HomogeneousPoint,
     RationalPolytope,
     SubspaceBasis,
     _segment_interval_lp,
@@ -346,6 +348,60 @@ class TestVertexFunctionals:
         assert hull.vertices == tuple(square)
         assert (2, 0, 1) not in lps
         assert hull.vertex_functionals[2] == (1, -1)
+
+
+class TestIntegerHullInput:
+    @settings(max_examples=150)
+    @given(cone_cases(), st.data())
+    def test_homogeneous_columns_give_the_same_hull(self, points, data):
+        # Each point over a denominator of its own, a positive multiple of
+        # the least one.
+        columns = []
+        for p in points:
+            den, (row,) = exactgeom.integer_rows((p,))
+            k = data.draw(st.integers(1, 6))
+            columns.append(HomogeneousPoint((*(a * k for a in row), den * k)))
+        hull = extreme_points(columns)
+        reference = extreme_points(points)
+        assert hull == reference
+        assert vars(hull)["integer_vertices"] == vars(reference)["integer_vertices"]
+        assert hull.vertex_functionals == reference.vertex_functionals
+
+    def test_piece_and_chain_hulls_convert_no_point(self, monkeypatch):
+        # Piece hulls read their cycles' integer sums and chain hulls their
+        # members' integer vertices: the only conversion under either is
+        # each piece's displacements.
+        stacks = []
+        integer_rows = simplex.integer_rows
+
+        def recorded(vectors):
+            frame, names = sys._getframe(1), []
+            while frame is not None:
+                names.append(frame.f_code.co_name)
+                frame = frame.f_back
+            stacks.append(names)
+            return integer_rows(vectors)
+
+        for module in (simplex, exactgeom, markov, model):
+            monkeypatch.setattr(module, "integer_rows", recorded)
+        pooled = []
+        union = exactgeom.hull_of_union
+
+        def counted(polytopes, points=()):
+            pooled.append(len(polytopes))
+            return union(polytopes, points)
+
+        monkeypatch.setattr(heteroclinic, "hull_of_union", counted)
+        computation = compute(exp_family(4))
+        assert len(computation.chains) == 16 and pooled == [8] * 16
+        under = [
+            names
+            for names in stacks
+            if {"hull_of_union", "piece_rotation_set", "extreme_points"} & set(names)
+        ]
+        assert len(under) == 12
+        assert all(names[0] == "integer_displacements" for names in under)
+        assert not any("extreme_points" in names for names in under)
 
 
 class TestWitnessKernels:

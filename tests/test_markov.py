@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -14,9 +15,10 @@ from hypothesis import strategies as st
 
 from conftest import V
 from rotaxa import markov
+from rotaxa.cli import main
 from rotaxa.engine import validate
 from rotaxa.errors import InadmissibleWordError, ResourceCapError
-from rotaxa.exactgeom import extreme_points, vector_scale
+from rotaxa.exactgeom import extreme_points, format_vector, vector_scale
 from rotaxa.fixtures import genus2_full
 from rotaxa.markov import (
     ANNULAR,
@@ -184,7 +186,9 @@ class TestPieceRotationSet:
     def test_cycle_cap_is_an_error(self, monkeypatch):
         monkeypatch.setattr(markov, "DEFAULT_CYCLE_CAP", 2)
         piece = curved(KWAPISZ_NODES, KWAPISZ_EDGES)
-        with pytest.raises(ResourceCapError):
+        # The states (a), (ab, b) and then (abc, c): the third passes the cap.
+        message = r"simple_cycles: more than 2 search states \(3 reached\)"
+        with pytest.raises(ResourceCapError, match=message):
             piece_rotation_set(piece)
 
 
@@ -244,14 +248,27 @@ def digraphs(draw):
     return graph_from_edges([(name, (0,)) for name in names], edges)
 
 
+def first_node_sets(cycles):
+    """The first cycle on each node set, in order."""
+    seen = set()
+    firsts = []
+    for cycle in cycles:
+        if frozenset(cycle) not in seen:
+            seen.add(frozenset(cycle))
+            firsts.append(cycle)
+    return firsts
+
+
 def tuple_summed_rotation_set(piece: BasicPieceModel):
-    """The piece polytope with each simple cycle summed as a coordinate
-    tuple and each mean keyed by its gcd-reduced ``(total, length)``: the
-    summation that packed integer sums replaced, kept as their oracle."""
+    """The piece polytope with every simple cycle of a plain depth-first
+    search summed as a coordinate tuple and each mean keyed by its
+    gcd-reduced ``(total, length)``: the summation that packed integer sums
+    replaced, over the enumeration that node sets replaced, kept as their
+    oracle."""
     den, ints = piece.graph.integer_displacements()
     sums = {
         (tuple(map(sum, zip(*map(ints.__getitem__, cycle)))), len(cycle))
-        for cycle in simple_cycles(piece.graph)
+        for cycle in plain_simple_cycles(piece.graph)
     }
     keys = set()
     for total, length in sums:
@@ -301,7 +318,9 @@ class TestSimpleCycles:
     @settings(max_examples=300)
     @given(digraphs())
     def test_matches_plain_depth_first_search(self, graph):
-        assert simple_cycles(graph) == plain_simple_cycles(graph)
+        # One cycle per node set: the first that a plain search meets,
+        # which is the lexicographically least on the set.
+        assert simple_cycles(graph) == first_node_sets(plain_simple_cycles(graph))
 
     @settings(max_examples=200)
     @given(digraphs(), st.data())
@@ -324,14 +343,16 @@ class TestSimpleCycles:
                 [(name, (0,) * dim) for name in names],
                 [(u, v) for u in names for v in names],
             )
-            assert len(simple_cycles(piece.graph)) == 24
+            # One cycle per non-empty node set of K_4 with loops: 2**4 - 1.
+            assert len(simple_cycles(piece.graph)) == 15
             assert piece_rotation_set(piece).vertices == (V(*(0,) * dim),)
 
     def test_counts_on_complete_digraph(self):
         piece = curved(KWAPISZ_NODES, KWAPISZ_EDGES)
         cycles = simple_cycles(piece.graph)
-        # 3 loops + 3 two-cycles + 2 rotations of the full triangle.
-        assert len(cycles) == 8
+        # 3 loops + 3 two-cycles + the full triangle, whose two
+        # orientations share one node set.
+        assert len(cycles) == 7
         assert all(len(set(c)) == len(c) for c in cycles)
 
     def test_each_cycle_admissible(self):
@@ -358,7 +379,99 @@ class TestSimpleCycles:
         gc.collect()
         gc.disable()
         try:
-            assert len(simple_cycles(piece.graph)) == 89
+            # One cycle per non-empty node set of K_5 with loops: 2**5 - 1.
+            assert len(simple_cycles(piece.graph)) == 31
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def complete_digraph(n: int) -> BasicPieceModel:
+    """K_n with a self-loop on every node and displacements in [-3, 3]^4,
+    seeded by ``n``.  Every node is a 1-cycle, so the piece polytope is the
+    hull of the node displacements."""
+    rng = random.Random(n)
+    names = [f"k{i:02d}" for i in range(n)]
+    nodes = [(name, tuple(rng.randint(-3, 3) for _ in range(4))) for name in names]
+    return curved(nodes, [(u, v) for u in names for v in names], piece_id="K")
+
+
+def search_states(n: int) -> int:
+    """The states that :func:`simple_cycles` expands on K_n with loops: from
+    the root with ``m`` larger nodes, the root's own state and ``(S, end)``
+    for each non-empty set ``S`` of larger nodes and each ``end`` in ``S``,
+    ``m * 2**(m - 1)`` of them."""
+    return sum(1 + m * 2**m // 2 for m in range(n))
+
+
+def single_piece_document(piece: BasicPieceModel) -> dict:
+    """A genus-2 model whose only piece is the curved ``piece``."""
+    unit = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
+    graph = piece.graph
+    return {
+        "genus": 2,
+        "pieces": [
+            {
+                "id": piece.id,
+                "classification": CURVED,
+                "graph": {
+                    "nodes": [
+                        {"id": name, "displacement": [str(c) for c in disp]}
+                        for name, disp in graph.nodes
+                    ],
+                    "edges": [list(edge) for edge in graph.edges],
+                },
+            }
+        ],
+        "heteroclinic": {"edges": []},
+        "decomposition": {
+            "subsurfaces": [{"id": "T1", "kind": "curved_surface", "basis": unit}],
+            "assignment": {piece.id: "T1"},
+        },
+    }
+
+
+class TestCompleteDigraphs:
+    """The stress family K_n: 2**n - 1 node sets carry cycles, while the
+    number of simple cycles grows like n!."""
+
+    def test_state_count(self):
+        assert [search_states(n) for n in (3, 8, 10, 12)] == [8, 777, 4107, 20493]
+
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_hull_of_node_displacements_within_the_state_count(
+        self, monkeypatch, n
+    ):
+        piece = complete_digraph(n)
+        states = search_states(n)
+        monkeypatch.setattr(markov, "DEFAULT_CYCLE_CAP", states)
+        assert len(simple_cycles(piece.graph)) == 2**n - 1
+        hull = piece_rotation_set(piece)
+        assert hull == extreme_points([disp for _, disp in piece.graph.nodes])
+        monkeypatch.setattr(markov, "DEFAULT_CYCLE_CAP", states - 1)
+        with pytest.raises(ResourceCapError, match=rf"\({states} reached\)"):
+            piece_rotation_set(piece)
+
+    def test_compute_on_k10_exits_0(self, tmp_path, capsys):
+        piece = complete_digraph(10)
+        path = tmp_path / "k10.json"
+        path.write_text(json.dumps(single_piece_document(piece)))
+        assert main(["compute", str(path)]) == 0
+        (chain,) = json.loads(capsys.readouterr().out)["chains"]
+        hull = extreme_points([disp for _, disp in piece.graph.nodes])
+        assert chain["vertices"] == [format_vector(v) for v in hull.vertices]
+
+    def test_compute_on_k12_meets_the_state_cap(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "k12.json"
+        path.write_text(json.dumps(single_piece_document(complete_digraph(12))))
+        monkeypatch.setattr(markov, "DEFAULT_CYCLE_CAP", search_states(12) - 1)
+        assert main(["compute", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert (
+            "simple_cycles: more than 20492 search states (20493 reached)"
+            in captured.err
+        )
+        monkeypatch.setattr(markov, "DEFAULT_CYCLE_CAP", 25_000)
+        assert main(["compute", str(path)]) == 0

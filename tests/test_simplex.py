@@ -347,6 +347,25 @@ def test_integer_rows_scales_by_the_least_common_denominator(vectors):
         assert any(F(a * (den // p)).denominator != 1 for v in vectors for a in v)
 
 
+@given(
+    st.lists(st.lists(coordinates, min_size=3, max_size=3), min_size=1, max_size=4),
+    st.data(),
+)
+def test_homogeneous_rows_in_lowest_terms_match_integer_rows(vectors, data):
+    # Each point as its own column [x·d; d], d any positive multiple of the
+    # least denominator that clears x.
+    columns = []
+    for vector in vectors:
+        d, (row,) = simplex.integer_rows([vector])
+        k = data.draw(st.integers(1, 6))
+        columns.append((*(a * k for a in row), d * k))
+    den, rows = simplex.homogeneous_rows(columns)
+    assert all(den % column[-1] == 0 for column in columns)
+    assert [list(row) for row in rows] == [[a * den for a in v] for v in vectors]
+    den, rows = simplex.lowest_terms(den, rows)
+    assert (den, tuple(rows)) == simplex.integer_rows(vectors)
+
+
 scales = st.builds(F, st.integers(1, 12), st.integers(1, 12))
 
 
@@ -472,9 +491,10 @@ def test_cycle_mean_hull_lp_and_pivot_counts_are_pinned(mixed_length_hull):
 
 
 def test_cycle_mean_hull_lps_read_small_integer_columns(mixed_length_hull):
-    # One conversion of the displacements and one of the cycle means, none
-    # per LP: each LP reads the hull's homogeneous integer columns.
-    assert mixed_length_hull["conversions"] == 2
+    # One conversion, of the displacements, and none per LP: the cycle
+    # means enter the hull as integer sums, and each LP reads the hull's
+    # homogeneous integer columns.
+    assert mixed_length_hull["conversions"] == 1
     # Each column is its own primitive vector [total; length].  Scaled by
     # the lcm of all cycle lengths instead, the pivot rows reached 78 bits
     # (median 32) on this piece, and 87 bits on the benchmark's pieces.

@@ -64,8 +64,9 @@ def test_every_traced_name_resolves(tracer):
 @pytest.mark.parametrize(
     ("index", "cycles", "hulls"),
     [
-        # K_8 with self-loops holds the origin: its piece hull only.
-        (0, 16072, 1),
+        # K_8 with self-loops holds the origin: its piece hull only, from
+        # one cycle per non-empty node set, 2**8 - 1.
+        (0, 255, 1),
         # A random piece misses the origin: its piece hull, then its cone.
         (1, None, 2),
     ],
