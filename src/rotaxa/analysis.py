@@ -31,7 +31,6 @@ from .exactgeom import (
     homogeneous,
     hull_of_union,
     segment_uncovered_gap,
-    zero_vector,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -113,7 +112,9 @@ def star_shape_check(
     The candidates are built as integer vectors over one denominator, twice
     the lcm of the members' ``integer_vertices`` denominators, so each
     midpoint is exact; they are tested in that integer order, which is the
-    order of the points, and the first uncovered one is the witness.  Each
+    order of the points, and handed to the segment test as
+    :class:`~rotaxa.exactgeom.HomogeneousPoint` columns, so only a witness
+    is built as a ``Fraction`` vector.  Each
     candidate's segment is tested against the member that produced it
     first: that member holds the candidate, so when it also holds the
     origin, its interval alone covers the segment.
@@ -135,13 +136,13 @@ def star_shape_check(
             source.setdefault(v, index)
         for u, v in combinations(verts, 2):
             source.setdefault(tuple((a + b) // 2 for a, b in zip(u, v)), index)
-    origin = zero_vector(dim)
+    origin = HomogeneousPoint((0,) * dim + (1,))
     for ints in sorted(source):
         index = source[ints]
-        point = tuple(Fraction(c, den) for c in ints)
         family = [members[index], *members[:index], *members[index + 1 :]]
-        gap = segment_uncovered_gap(origin, point, family)
+        gap = segment_uncovered_gap(origin, HomogeneousPoint((*ints, den)), family)
         if gap is not None:
+            point = tuple(Fraction(c, den) for c in ints)
             return False, CoverageWitness(point=point, gap=gap)
     return True, None
 

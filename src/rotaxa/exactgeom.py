@@ -11,16 +11,21 @@ A polytope also keeps its vertices as integers over their least common
 denominator (``integer_vertices``), from the integer rows its hull was built
 on.  Every exact
 rank, span and affine-independence question goes through one fraction-free
-integer Gauss-Jordan elimination (:func:`_eliminate`, after Bareiss 1968).
+integer Gauss-Jordan elimination (:func:`~rotaxa.kernel._eliminate`, after
+Bareiss 1968).
 A polytope whose vertices are affinely independent (a simplex, which every
 chain polytope and block of the fixtures is) answers membership and segment
-queries from a :class:`SimplexKernel`: integer rows, eliminated once per
-polytope and cached on it, that give barycentric coordinates and the affine
-hull equations, so each query is a handful of integer dot products.  Other
+queries from a :class:`~rotaxa.kernel.SimplexKernel`: integer rows,
+eliminated once per polytope and cached on it, that give barycentric
+coordinates and the affine hull equations, so each query is a handful of
+integer dot products.  The kernel is eliminated on the polytope's support,
+the coordinates that some vertex uses; each other coordinate is an implicit
+hull equation ``x_j = 0`` (see :mod:`rotaxa.kernel`).  Other
 polytopes answer them by exact linear programs on the vertices' homogeneous
 integer columns ``[v·den; den]``.  Either way a query point is read as its
 own homogeneous integer column (:func:`homogeneous`), which a caller that
-tests one point against several polytopes converts once.  A point set that
+tests one point against several polytopes, or the ends of one segment
+against a family, converts once.  A point set that
 the elimination shows to be affinely independent is its own vertex set; any
 other hull is LP-certified.  There a point is proved inside by a witness
 simplex, affinely independent points of the set whose hull holds it: the
@@ -41,11 +46,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from math import gcd
-from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatchError
+from .kernel import SimplexKernel, _dot, _eliminate, _simplex_kernel
 from .simplex import INFEASIBLE, OPTIMAL, LpResult, integer_rows, resume, solve_lp
 from .simplex import homogeneous_rows, lowest_terms
 
@@ -66,14 +70,6 @@ def zero_vector(dim: int) -> Vector:
 
 def vector_add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
-
-
-def vector_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vector_scale(u: Vector, s: Fraction | int) -> Vector:
-    return tuple(a * s for a in u)
 
 
 def parse_rational(text: str | int) -> Fraction:
@@ -136,12 +132,12 @@ class RationalPolytope:
         ``c`` is linear, so it orders points written over any positive
         denominator the same way.  Stored by :func:`extreme_points` from
         the LPs that decided the hull; a simplex's are read from its
-        kernel's barycentric rows, each positive at its own vertex and 0 at
-        the others."""
+        kernel's barycentric rows, widened to every coordinate, each
+        positive at its own vertex and 0 at the others."""
         kernel = self.simplex_kernel
         if kernel is None:
             return (None,) * len(self.vertices)
-        return tuple(row[: self.dim] for row in kernel.barycentric)
+        return tuple(map(kernel.ambient, kernel.barycentric))
 
     @property
     def holds_origin(self) -> bool:
@@ -160,126 +156,9 @@ class RationalPolytope:
         kernel = self.simplex_kernel
         if kernel is None:
             separation = hull_membership(_columns(self), origin).separation
-            return None if separation is None else separation[0]
-        # A row (a, a0) is 0 at every vertex [v; 1] when affine, >= 0 when
-        # barycentric; at the origin it reads a0.  So an affine row with
-        # a0 != 0 puts a . v = -a0 at every vertex, and a barycentric row
-        # with a0 < 0 puts a . v >= -a0 > 0.
-        for row in kernel.affine:
-            at = _dot(row, origin)
-            if at:
-                return tuple(a if at > 0 else -a for a in row[:-1])
-        for row in kernel.barycentric:
-            if _dot(row, origin) < 0:
-                return tuple(-a for a in row[:-1])
-        return None
-
-
-@dataclass(frozen=True)
-class SimplexKernel:
-    """Integer rows that answer queries against one simplex.
-
-    Both row sets act on ``y = [x * den; den]``, a point ``x`` written over a
-    positive denominator ``den``.  The ``affine`` rows all vanish on ``y``
-    exactly when ``x`` lies in the simplex's affine hull; there, barycentric
-    row ``i`` gives a positive multiple of ``x``'s ``i``-th barycentric
-    coordinate.  So ``x`` is in the simplex iff every ``affine`` row gives 0
-    and every ``barycentric`` row gives a value ``>= 0``.
-    """
-
-    barycentric: tuple[tuple[int, ...], ...]
-    affine: tuple[tuple[int, ...], ...]
-
-    def contains(self, y: Sequence[int]) -> bool:
-        """Membership of the point whose homogeneous column is ``y``."""
-        return all(_dot(row, y) == 0 for row in self.affine) and all(
-            _dot(row, y) >= 0 for row in self.barycentric
-        )
-
-    def segment_interval(
-        self, a: Vector, b: Vector
-    ) -> tuple[Fraction, Fraction] | None:
-        """``{t in [0,1] : a + t(b-a) in simplex}`` by one ratio test."""
-        den, (ints_a, ints_b) = integer_rows((a, b))
-        start = ints_a + (den,)
-        step = tuple(q - p for p, q in zip(ints_a, ints_b)) + (0,)
-        low, high = _ZERO, _ONE
-        for row in self.affine:
-            at, slope = _dot(row, start), _dot(row, step)
-            if slope:
-                # The line crosses the hull equation at one parameter only.
-                t = Fraction(-at, slope)
-                low, high = max(low, t), min(high, t)
-            elif at:
-                return None
-        for row in self.barycentric:
-            at, slope = _dot(row, start), _dot(row, step)
-            if slope > 0:
-                low = max(low, Fraction(-at, slope))
-            elif slope < 0:
-                high = min(high, Fraction(-at, slope))
-            elif at < 0:
-                return None
-        return (low, high) if low <= high else None
-
-
-def _dot(row: Sequence[int], y: Sequence[int]) -> int:
-    return sum(map(mul, row, y))
-
-
-def _eliminate(rows: list[list[int]], cols: int) -> list[int]:
-    """Integer Gauss-Jordan on the first ``cols`` columns of ``rows``, in place.
-
-    Fraction-free: clearing column ``col`` replaces row ``r`` by
-    ``lead * r - factor * top`` and divides out its gcd (an all-zero row
-    stays zero), so every entry stays an integer and no row changes its row
-    space.  A column with no pivot is skipped.  Returns the pivot columns;
-    the ``i``-th of them has its only non-zero entry in row ``i``.
-    """
-    pivots: list[int] = []
-    for col in range(cols):
-        rank = len(pivots)
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        top = rows[rank]
-        lead = top[col]
-        for r in range(len(rows)):
-            factor = rows[r][col]
-            if r != rank and factor:
-                row = [lead * value - factor * t for value, t in zip(rows[r], top)]
-                g = gcd(*row) or 1
-                rows[r] = [value // g for value in row]
-        pivots.append(col)
-    return pivots
-
-
-def _simplex_kernel(den: int, verts: Sequence[Sequence[int]]) -> SimplexKernel | None:
-    """Eliminate ``A = [v_0 ... v_k; 1 ... 1]`` once, or ``None`` when the
-    vertices are affinely dependent.
-
-    The vertices are integers over ``den > 0``, so integer Gauss-Jordan on
-    ``[den A | I]`` gives an invertible ``E`` with ``E A = [D; 0]`` for a
-    diagonal ``D`` without zeros, provided every column of ``A`` pivots.
-    Row ``i < k + 1`` of ``E``, times the sign of ``D[i][i]``, maps
-    ``[x; 1]`` to a positive multiple of the ``i``-th barycentric
-    coordinate; the other rows vanish exactly on the column space of ``A``,
-    whose points ``[x; 1]`` are those of the affine hull.
-    """
-    cols = len(verts)
-    size = len(verts[0]) + 1
-    rows = [list(column) for column in zip(*verts)] + [[den] * cols]
-    for i, row in enumerate(rows):
-        row.extend(1 if j == i else 0 for j in range(size))
-    if len(_eliminate(rows, cols)) < cols:
-        return None
-    functionals = []
-    for i, row in enumerate(rows):
-        sign = -1 if i < cols and row[i] < 0 else 1
-        g = gcd(*row[cols:]) * sign
-        functionals.append(tuple(value // g for value in row[cols:]))
-    return SimplexKernel(tuple(functionals[:cols]), tuple(functionals[cols:]))
+        else:
+            separation = kernel.separation(origin)
+        return None if separation is None else separation[0]
 
 
 class HomogeneousPoint(tuple):
@@ -292,9 +171,11 @@ class HomogeneousPoint(tuple):
     __slots__ = ()
 
 
-def homogeneous(x: Vector) -> HomogeneousPoint:
+def homogeneous(x: Vector | HomogeneousPoint) -> HomogeneousPoint:
     """``x`` as ``[x·den; den]`` for the least positive ``den`` that clears
-    its denominators."""
+    its denominators; a :class:`HomogeneousPoint` as it is."""
+    if isinstance(x, HomogeneousPoint):
+        return x
     den, (nums,) = integer_rows((x,))
     return HomogeneousPoint((*nums, den))
 
@@ -372,7 +253,7 @@ def contains_point(polytope: RationalPolytope, x: Vector | HomogeneousPoint) -> 
     """Exact membership of ``x`` in the polytope: sign tests on a simplex,
     a feasibility LP otherwise.  ``x`` may be given as a
     :class:`HomogeneousPoint`, converted once for several tests."""
-    y = x if isinstance(x, HomogeneousPoint) else homogeneous(x)
+    y = homogeneous(x)
     if len(y) != polytope.dim + 1:
         raise DimensionMismatchError(
             f"point of length {len(y) - 1} against polytope of dimension {polytope.dim}"
@@ -580,9 +461,15 @@ def hull_of_union(
 
 
 def affine_dim(polytope: RationalPolytope) -> int:
-    """Dimension of the affine hull: the rank of the rows ``[v, 1]``, less 1."""
+    """Dimension of the affine hull: ``len(vertices) - 1`` for a simplex,
+    whose kernel decided it; otherwise the rank of the rows ``[v, 1]`` on
+    the coordinates that some vertex uses, less 1."""
+    if polytope.simplex_kernel is not None:
+        return len(polytope.vertices) - 1
     den, rows = polytope.integer_vertices
-    return len(_eliminate([[*v, den] for v in rows], polytope.dim + 1)) - 1
+    support = [j for j, column in enumerate(zip(*rows)) if any(column)]
+    rows = [[*(v[j] for j in support), den] for v in rows]
+    return len(_eliminate(rows, len(support) + 1)) - 1
 
 
 def rank_of(vectors: Iterable[Vector]) -> int:
@@ -634,14 +521,18 @@ def in_span(subspace: SubspaceBasis, polytope: RationalPolytope) -> bool:
 
 
 def segment_interval(
-    polytope: RationalPolytope, a: Vector, b: Vector
+    polytope: RationalPolytope,
+    a: Vector | HomogeneousPoint,
+    b: Vector | HomogeneousPoint,
 ) -> tuple[Fraction, Fraction] | None:
     """The exact parameter set ``{t in [0,1] : a + t(b-a) in P}``.
 
-    The set is a closed rational interval or empty.  A simplex reads it off
-    its kernel by one ratio test; any other polytope solves two LPs.
+    The set is a closed rational interval or empty.  Either endpoint may be
+    given as a :class:`HomogeneousPoint`.  A simplex reads the set off its
+    kernel by one ratio test; any other polytope solves two LPs.
     """
-    if len(a) != polytope.dim or len(b) != polytope.dim:
+    a, b = homogeneous(a), homogeneous(b)
+    if len(a) != polytope.dim + 1 or len(b) != polytope.dim + 1:
         raise DimensionMismatchError("segment endpoints do not match the polytope")
     kernel = polytope.simplex_kernel
     if kernel is None:
@@ -650,21 +541,24 @@ def segment_interval(
 
 
 def _segment_interval_lp(
-    polytope: RationalPolytope, a: Vector, b: Vector
+    polytope: RationalPolytope,
+    a: Vector | HomogeneousPoint,
+    b: Vector | HomogeneousPoint,
 ) -> tuple[Fraction, Fraction] | None:
     """:func:`segment_interval` by one minimizing and one maximizing LP over
     the joint (weights, t) system; valid for every polytope."""
+    a, b = homogeneous(a), homogeneous(b)
+    if a[-1] != b[-1]:
+        a, b = [p * b[-1] for p in a], [q * a[-1] for q in b]
     den, verts = polytope.integer_vertices
     n = len(verts)
-    direction = vector_sub(b, a)
     # Columns: n hull weights (each vertex's homogeneous column, so a
-    # weight is den times the convex one), then t, then the slack for t <= 1.
-    rows = [
-        [*coordinate, -step, 0] for coordinate, step in zip(zip(*verts), direction)
-    ]
+    # weight is a[-1] / den times the convex one), then t, then the slack
+    # for t <= 1.  The endpoints are over the one denominator a[-1].
+    rows = [[*coordinate, p - q, 0] for coordinate, p, q in zip(zip(*verts), a, b)]
     rows.append([den] * n + [0, 0])
     rows.append([0] * n + [1, 1])
-    rhs = [*a, 1, 1]
+    rhs = [*a, 1]
 
     cost_low = [0] * n + [1, 0]
     low = solve_lp(cost_low, rows, rhs)
@@ -678,22 +572,27 @@ def _segment_interval_lp(
 
 
 def segment_uncovered_gap(
-    a: Vector, b: Vector, family: Sequence[RationalPolytope]
+    a: Vector | HomogeneousPoint,
+    b: Vector | HomogeneousPoint,
+    family: Sequence[RationalPolytope],
 ) -> tuple[Fraction, Fraction] | None:
     """First gap of ``[a, b]`` against the union of the family, if any.
 
     Returns ``None`` when the segment is covered.  Otherwise returns
     parameters ``(lo, hi)`` with ``lo < hi`` such that no point strictly
     between them is covered (and ``lo`` itself is uncovered when it is 0).
+    Either endpoint may be given as a :class:`HomogeneousPoint`; each is
+    converted once for the whole family.
 
     The scan stops at the first member that holds the whole segment.  The
     gap is read from the intervals sorted, so the order of the family never
     changes the answer, only how many members are tested.
     """
-    dim = len(a)
-    if len(b) != dim or any(p.dim != dim for p in family):
+    a, b = homogeneous(a), homogeneous(b)
+    dim = len(a) - 1
+    if len(b) != dim + 1 or any(p.dim != dim for p in family):
         raise DimensionMismatchError("segment and family dimensions differ")
-    if a == b:
+    if all(p * b[-1] == q * a[-1] for p, q in zip(a, b)):
         for member in family:
             if contains_point(member, a):
                 return None

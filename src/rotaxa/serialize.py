@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -31,23 +32,35 @@ from .markov import BasicPieceModel, MarkovGraph
 from .model import ModelDocument
 
 
-def _vector_from_json(data: Any, location: str, errors: list[str]) -> Vector:
+def _vector_from_json(
+    data: Any, location: str, errors: list[str], parsed: dict[str, Fraction]
+) -> Vector:
+    """The rationals of ``data``.  ``parsed`` holds each string item read so
+    far in the document, so each distinct string is parsed once; only
+    strings are kept, since a JSON ``true`` hashes like ``1``, and only
+    those that parsed, so each bad entry is reported where it stands."""
     if not isinstance(data, list):
         errors.append(f"{location}: expected an array of rationals")
         return ()
     out = []
     for i, item in enumerate(data):
+        if isinstance(item, str) and item in parsed:
+            out.append(parsed[item])
+            continue
         if isinstance(item, float):
             errors.append(f"{location}/{i}: floating point is not accepted")
             return ()
         try:
-            out.append(parse_rational(item))
+            value = parse_rational(item)
         except (ValueError, TypeError, ZeroDivisionError):
             errors.append(
                 f"{location}/{i}: unreadable rational {item!r} "
                 '(expected "p/q" in lowest terms or "n")'
             )
             return ()
+        if isinstance(item, str):
+            parsed[item] = value
+        out.append(value)
     return tuple(out)
 
 
@@ -82,6 +95,7 @@ def _expect(data: dict, key: str, location: str, errors: list[str], kind=None):
 def model_from_dict(data: Any) -> ModelDocument:
     """Build a model from parsed JSON; raises with pointer-located errors."""
     errors: list[str] = []
+    parsed: dict[str, Fraction] = {}
     if not isinstance(data, dict):
         raise ModelValidationError(["/: model document must be an object"])
 
@@ -108,7 +122,7 @@ def model_from_dict(data: Any) -> ModelDocument:
                 continue
             name = _expect(node_json, "id", nloc, errors, str)
             disp = _vector_from_json(
-                node_json.get("displacement"), f"{nloc}/displacement", errors
+                node_json.get("displacement"), f"{nloc}/displacement", errors, parsed
             )
             if name is not None:
                 nodes.append((name, disp))
@@ -175,7 +189,7 @@ def model_from_dict(data: Any) -> ModelDocument:
         basis = []
         for j, vec_json in enumerate(_array(sub_json, "basis", loc, errors)):
             basis.append(
-                _vector_from_json(vec_json, f"{loc}/basis/{j}", errors)
+                _vector_from_json(vec_json, f"{loc}/basis/{j}", errors, parsed)
             )
         if sid is None or kind is None:
             continue

@@ -23,6 +23,14 @@ def V(*coords) -> Vector:
     return as_vector(coords)
 
 
+def vector_scale(u: Vector, s) -> Vector:
+    return tuple(a * s for a in u)
+
+
+def vector_sub(u: Vector, v: Vector) -> Vector:
+    return tuple(a - b for a, b in zip(u, v))
+
+
 def cross(o: Vector, a: Vector, b: Vector) -> Fraction:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 

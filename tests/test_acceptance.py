@@ -11,7 +11,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import V, brute_extreme_2d
+from conftest import V, brute_extreme_2d, vector_scale
 from rotaxa.analysis import CONVEX, convexity_probe, star_shape_check
 from rotaxa.conley import support_span
 from rotaxa.engine import compute, run_checks
@@ -22,7 +22,6 @@ from rotaxa.exactgeom import (
     extreme_points,
     rank_of,
     segment_covered,
-    vector_scale,
 )
 from rotaxa.fixtures import exp_family, genus2_blocks, genus2_full, genus2_nonconvex
 from rotaxa.heteroclinic import relation_edge, HeteroclinicPoset

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import rotaxa.exactgeom as exactgeom
 import rotaxa.markov as markov
 import rotaxa.simplex as simplex
-from conftest import V, full_scan_gap
+from conftest import V, full_scan_gap, vector_scale
 from rotaxa.analysis import (
     CONTAINS_ZERO,
     CONVEX,
@@ -36,7 +36,6 @@ from rotaxa.exactgeom import (
     homogeneous,
     hull_membership,
     vector_add,
-    vector_scale,
     zero_vector,
 )
 from rotaxa.fixtures import exp_family, genus2_blocks, genus2_full, genus2_nonconvex
@@ -258,7 +257,8 @@ class TestStarShapeOracle:
         interval = exactgeom.segment_interval
 
         def counted(polytope, a, b):
-            calls.append(b)
+            # The candidates arrive as homogeneous integer columns.
+            calls.append(tuple(Fraction(c, b[-1]) for c in b[:-1]))
             return interval(polytope, a, b)
 
         monkeypatch.setattr(exactgeom, "segment_interval", counted)

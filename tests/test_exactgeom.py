@@ -6,13 +6,21 @@ import random
 import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import V, brute_extreme_2d, brute_membership_2d, full_scan_gap
-from rotaxa import exactgeom, heteroclinic, markov, model, simplex
+from conftest import (
+    V,
+    brute_extreme_2d,
+    brute_membership_2d,
+    full_scan_gap,
+    vector_scale,
+    vector_sub,
+)
+from rotaxa import exactgeom, heteroclinic, kernel, markov, model, simplex
 from rotaxa.conley import coned, support_span
 from rotaxa.engine import compute, run_checks
 from rotaxa.errors import DimensionMismatchError
@@ -34,11 +42,10 @@ from rotaxa.exactgeom import (
     segment_interval,
     segment_uncovered_gap,
     vector_add,
-    vector_scale,
-    vector_sub,
     vertex_outside_span,
 )
 from rotaxa.fixtures import exp_family, genus2_full
+from rotaxa.kernel import SimplexKernel, _eliminate, _simplex_kernel
 
 rationals = st.fractions(
     min_value=-9, max_value=9, max_denominator=9
@@ -404,10 +411,41 @@ class TestIntegerHullInput:
         assert not any("extreme_points" in names for names in under)
 
 
+def dense_simplex_kernel(den, verts):
+    """The kernel eliminated densely, on every coordinate of ``[den A | I]``:
+    the oracle that kernels eliminated on their support are checked against.
+
+    Eliminate ``A = [v_0 ... v_k; 1 ... 1]`` once, or ``None`` when the
+    vertices are affinely dependent.
+
+    The vertices are integers over ``den > 0``, so integer Gauss-Jordan on
+    ``[den A | I]`` gives an invertible ``E`` with ``E A = [D; 0]`` for a
+    diagonal ``D`` without zeros, provided every column of ``A`` pivots.
+    Row ``i < k + 1`` of ``E``, times the sign of ``D[i][i]``, maps
+    ``[x; 1]`` to a positive multiple of the ``i``-th barycentric
+    coordinate; the other rows vanish exactly on the column space of ``A``,
+    whose points ``[x; 1]`` are those of the affine hull.
+    """
+    cols = len(verts)
+    size = len(verts[0]) + 1
+    rows = [list(column) for column in zip(*verts)] + [[den] * cols]
+    for i, row in enumerate(rows):
+        row.extend(1 if j == i else 0 for j in range(size))
+    if len(_eliminate(rows, cols)) < cols:
+        return None
+    functionals = []
+    for i, row in enumerate(rows):
+        sign = -1 if i < cols and row[i] < 0 else 1
+        g = gcd(*row[cols:]) * sign
+        functionals.append(tuple(value // g for value in row[cols:]))
+    return SimplexKernel(tuple(functionals[:cols]), tuple(functionals[cols:]))
+
+
 class TestWitnessKernels:
     def test_lp_kernels_agree_with_eliminated_kernels(self):
         # Each witness kernel read from an LP's basis inverse gives the
-        # sign tests of the kernel eliminated from the same basis points, on
+        # sign tests of the kernel eliminated densely, on every coordinate,
+        # from the same basis points, on
         # every point of the set: whether it lies on the affine hull, and
         # there the sign of each barycentric coordinate.  Counted over all
         # examples.
@@ -432,7 +470,7 @@ class TestWitnessKernels:
                     column = lp._lp.columns[var][0]
                     basis.append(tuple(Fraction(a, column[-1]) for a in column[:-1]))
                 den, rows = exactgeom.integer_rows(basis)
-                reference = exactgeom._simplex_kernel(den, rows)
+                reference = dense_simplex_kernel(den, rows)
                 seen["dropped_rows"] += bool(lp.basis_inverse[1])
                 for y in queries:
                     on_hull = [
@@ -646,6 +684,113 @@ class TestSimplexKernel:
         assert len(calls) == 0
 
 
+@st.composite
+def sparse_simplices(draw):
+    """A random simplex in Q^dim, dim 1 to 6, whose vertices use only some
+    coordinates (none, up to all of them), and query points: vertices,
+    convex and affine combinations, points moved off the support, random
+    points and the origin, all as homogeneous columns."""
+    dim = draw(st.integers(1, 6))
+    support = draw(st.lists(st.integers(0, dim - 1), unique=True, max_size=dim))
+    k = draw(st.integers(0, len(support)))
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+    def point(used):
+        values = {j: draw(small) for j in used}
+        return tuple(values.get(j, Fraction(0)) for j in range(dim))
+
+    verts = independent_points([point(support) for _ in range(k + 1)])
+    queries = list(verts)
+    weights = st.lists(st.integers(-2, 4), min_size=len(verts), max_size=len(verts))
+    for ws in draw(st.lists(weights, min_size=1, max_size=3)):
+        if sum(ws) == 0:
+            ws[0] += 1
+        total = sum(ws)
+        queries.append(
+            tuple(
+                sum(Fraction(w, total) * v[c] for w, v in zip(ws, verts))
+                for c in range(dim)
+            )
+        )
+    queries.append(vector_add(queries[-1], point(range(dim))))
+    queries.append(vector_add(queries[0], point([draw(st.integers(0, dim - 1))])))
+    queries.append(point(range(dim)))
+    queries.append(point(()))
+    return verts, [homogeneous(q) for q in queries]
+
+
+class TestSupportKernels:
+    """Kernels eliminated on their support against the dense elimination."""
+
+    @settings(max_examples=300)
+    @given(sparse_simplices())
+    def test_agree_with_dense_kernels(self, case):
+        verts, queries = case
+        den, rows = exactgeom.integer_rows(verts)
+        sparse, dense = _simplex_kernel(den, rows), dense_simplex_kernel(den, rows)
+        assert sparse is not None and dense is not None
+        used = {j for row in rows for j, a in enumerate(row) if a}
+        if len(used) == len(rows[0]):
+            assert sparse.support is None and sparse == dense
+        else:
+            assert sparse.support == (*sorted(used), len(rows[0]))
+        for y in queries:
+            assert sparse.contains(y) == dense.contains(y)
+            verdicts = [k.separation(y) for k in (sparse, dense)]
+            assert (verdicts[0] is None) == (verdicts[1] is None)
+            if verdicts[0] is not None:
+                # A separation in ambient coordinates: c . v <= c0 at every
+                # vertex, c . x > c0 at the point.
+                c, c0 = verdicts[0]
+                assert all(_dot_q(c, v) <= c0 for v in verts)
+                assert sum(a * b for a, b in zip(c, y)) > c0 * y[-1]
+        for a in queries:
+            for b in queries:
+                assert sparse.segment_interval(a, b) == dense.segment_interval(a, b)
+        # Each barycentric row, widened to every coordinate, exposes its own
+        # vertex among the vertices.
+        functionals = [sparse.ambient(row) for row in sparse.barycentric]
+        for c, v in zip(functionals, rows):
+            assert exposes(c, v, rows)
+
+    @settings(max_examples=150)
+    @given(sparse_simplices())
+    def test_polytope_queries_read_the_support(self, case):
+        verts, queries = case
+        poly = extreme_points(verts)
+        assert poly.simplex_kernel is not None
+        assert affine_dim(poly) == len(verts) - 1
+        for c, v in zip(poly.vertex_functionals, poly.vertices):
+            assert exposes(c, v, poly.vertices)
+        origin = homogeneous(tuple(Fraction(0) for _ in verts[0]))
+        assert poly.holds_origin == hull_membership(
+            [homogeneous(v) for v in poly.vertices], origin
+        )[0]
+        if not poly.holds_origin:
+            assert all(_dot_q(poly.origin_separation, v) < 0 for v in poly.vertices)
+        for a, b in combinations(queries, 2):
+            points = [tuple(Fraction(c, y[-1]) for c in y[:-1]) for y in (a, b)]
+            assert segment_interval(poly, a, b) == _segment_interval_lp(poly, *points)
+
+    def test_exp_family_eliminations_stay_on_the_support(self, monkeypatch):
+        # A chain polytope or block of exp_family(6) has at most 7 vertices
+        # on 6 of its 24 coordinates; the dense elimination had 25 rows.
+        sizes = []
+        eliminate = kernel._eliminate
+
+        def counted(rows, cols):
+            sizes.append(len(rows))
+            return eliminate(rows, cols)
+
+        monkeypatch.setattr(kernel, "_eliminate", counted)
+        compute(exp_family(6))
+        assert sizes and max(sizes) <= 7
+
+
+def _dot_q(functional, point):
+    return sum(c * x for c, x in zip(functional, point))
+
+
 class TestAffineDim:
     def test_point(self):
         assert affine_dim(extreme_points([V(5, 5)])) == 0
@@ -664,6 +809,40 @@ class TestAffineDim:
             [vector_scale(as_vector(p), factor) for p in points]
         )
         assert affine_dim(base) == affine_dim(scaled)
+
+    @settings(max_examples=100)
+    @given(st.lists(vectors(4), min_size=1, max_size=7), st.sets(st.integers(0, 3)))
+    def test_matches_rank_with_zero_coordinates(self, points, zeroed):
+        # Points with some coordinates 0 throughout: simplices, and hulls
+        # with more vertices than a simplex, against the rank of the
+        # differences.
+        points = [
+            tuple(Fraction(0) if j in zeroed else c for j, c in enumerate(p))
+            for p in points
+        ]
+        poly = extreme_points(points)
+        first = poly.vertices[0]
+        expected = rank_of([vector_sub(v, first) for v in poly.vertices[1:]])
+        assert affine_dim(poly) == expected
+
+    def test_simplex_reads_its_kernel(self, monkeypatch):
+        # A simplex's dimension comes from its kernel with no elimination;
+        # a flat square, with no kernel, is eliminated.
+        triangle = extreme_points([V(0, 0, 0), V(1, 0, 0), V(0, 1, 0)])
+        square = extreme_points([V(0, 0, 0), V(1, 0, 0), V(0, 1, 0), V(1, 1, 0)])
+        assert triangle.simplex_kernel is not None and square.simplex_kernel is None
+        calls = []
+        eliminate = exactgeom._eliminate
+
+        def counted(rows, cols):
+            calls.append((len(rows), cols))
+            return eliminate(rows, cols)
+
+        monkeypatch.setattr(exactgeom, "_eliminate", counted)
+        assert affine_dim(triangle) == 2 and calls == []
+        assert affine_dim(square) == 2
+        # Four vertex rows on the two coordinates they use, plus 1.
+        assert calls == [(4, 3)]
 
 
 unit_interval = st.fractions(min_value=0, max_value=1, max_denominator=6)

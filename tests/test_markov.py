@@ -13,12 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import V
+from conftest import V, vector_scale
 from rotaxa import markov
 from rotaxa.cli import main
 from rotaxa.engine import validate
 from rotaxa.errors import InadmissibleWordError, ResourceCapError
-from rotaxa.exactgeom import extreme_points, format_vector, vector_scale
+from rotaxa.exactgeom import extreme_points, format_vector
 from rotaxa.fixtures import genus2_full
 from rotaxa.markov import (
     ANNULAR,

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from rotaxa.cli import main
 from rotaxa.engine import compute
 from rotaxa.errors import ModelFormatError, ModelValidationError
-from rotaxa.exactgeom import affine_dim
+from rotaxa.exactgeom import affine_dim, as_vector
 from rotaxa.fixtures import (
     FIXTURE_NAMES,
     exp_family,
@@ -255,6 +255,40 @@ class TestSerialization:
         doc["pieces"][0]["graph"]["nodes"][0]["displacement"] = [0.5, "0", "0", "0"]
         with pytest.raises(ModelValidationError, match="floating point"):
             model_from_dict(doc)
+
+    def test_repeated_rationals_keep_their_own_violations(self):
+        # Each distinct rational string is parsed once per document.  Bad
+        # entries after valid copies of "1" are still rejected, each where
+        # it stands: a JSON true (which hashes like 1), twice, "2/4" and
+        # "01".
+        doc = model_to_dict(genus2_nonconvex())
+        h1, h2 = (piece["graph"]["nodes"] for piece in doc["pieces"])
+        h1[0]["displacement"] = ["1", "1", "1", "0"]
+        h1[1]["displacement"] = ["1", True, "0", "0"]
+        h1[2]["displacement"] = ["1", "2/4", "0", "0"]
+        h2[1]["displacement"] = [True, "1", "0", "0"]
+        doc["decomposition"]["subsurfaces"][0]["basis"][0] = ["1", "01", "0", "0"]
+        expected = '(expected "p/q" in lowest terms or "n")'
+        with pytest.raises(ModelValidationError) as raised:
+            model_from_dict(doc)
+        assert raised.value.violations == [
+            f"/pieces/0/graph/nodes/1/displacement/1: unreadable rational True {expected}",
+            f"/pieces/0/graph/nodes/2/displacement/1: unreadable rational '2/4' {expected}",
+            f"/pieces/1/graph/nodes/1/displacement/0: unreadable rational True {expected}",
+            f"/decomposition/subsurfaces/0/basis/0/1: unreadable rational '01' {expected}",
+        ]
+
+    def test_repeated_rationals_parse_to_the_same_model(self):
+        doc = model_to_dict(genus2_nonconvex())
+        for piece in doc["pieces"]:
+            for node in piece["graph"]["nodes"]:
+                node["displacement"] = ["1/2", "1", "-1/2", "1/2"]
+        model = model_from_dict(doc)
+        expected = as_vector(["1/2", "1", "-1/2", "1/2"])
+        assert all(
+            disp == expected for piece in model.pieces for _, disp in piece.graph.nodes
+        )
+        assert model_from_dict(model_to_dict(model)) == model
 
     def test_wrong_vector_length_located(self):
         doc = model_to_dict(genus2_nonconvex())
