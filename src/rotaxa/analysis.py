@@ -28,8 +28,8 @@ from .exactgeom import (
     Vector,
     affine_dim,
     contains_point,
-    homogeneous,
     hull_of_union,
+    origin_column,
     segment_uncovered_gap,
 )
 
@@ -114,10 +114,10 @@ def star_shape_check(
     midpoint is exact; they are tested in that integer order, which is the
     order of the points, and handed to the segment test as
     :class:`~rotaxa.exactgeom.HomogeneousPoint` columns, so only a witness
-    is built as a ``Fraction`` vector.  Each
-    candidate's segment is tested against the member that produced it
-    first: that member holds the candidate, so when it also holds the
-    origin, its interval alone covers the segment.
+    is built as a ``Fraction`` vector.  Each candidate's segment is tested
+    against the member that produced it first: that member holds the
+    candidate, so when it also holds the origin, its interval alone covers
+    the segment.
     """
     if not union:
         raise ValueError("empty union")
@@ -136,7 +136,7 @@ def star_shape_check(
             source.setdefault(v, index)
         for u, v in combinations(verts, 2):
             source.setdefault(tuple((a + b) // 2 for a, b in zip(u, v)), index)
-    origin = HomogeneousPoint((0,) * dim + (1,))
+    origin = origin_column(dim)
     for ints in sorted(source):
         index = source[ints]
         family = [members[index], *members[:index], *members[index + 1 :]]
@@ -147,9 +147,7 @@ def star_shape_check(
     return True, None
 
 
-def probe_points(
-    hull: RationalPolytope, density: int
-) -> list[Vector]:
+def probe_points(hull: RationalPolytope, density: int) -> list[HomogeneousPoint]:
     """Rational barycentric grid of the hull plus all pairwise vertex midpoints.
 
     The grid of denominator 2 is exactly the vertices and the pairwise
@@ -159,10 +157,11 @@ def probe_points(
     times ``common``, the hull's ``integer_vertices`` denominator times
     each grid denominator, is an integer vector; the points are summed as
     those, one running total carried down the weights, then deduplicated
-    and sorted, and each distinct numerator is divided once.
+    and sorted, and each is returned as its column ``(*point, common)``.
     """
     top = max(density, 2)
-    parts = len(hull.vertices)
+    vertex_den, rows = hull.integer_vertices
+    parts = len(rows)
     # Compositions of 1..top into ``parts`` parts: sum over den of
     # C(den + parts - 1, parts - 1), which telescopes to C(top + parts, parts) - 1.
     count = comb(top + parts, parts) - 1
@@ -171,15 +170,13 @@ def probe_points(
             f"probe_points: more than {PROBE_CAP} grid compositions "
             f"({count} at density {top} on {parts} vertices)"
         )
-    vertex_den, rows = hull.integer_vertices
     grid = lcm(*range(1, top + 1))
     common = vertex_den * grid
     verts = [tuple(c * grid for c in row) for row in rows]
     points: set[tuple[int, ...]] = set()
     for den in range(1, top + 1):
         _add_grid(points, verts, 0, (0,) * hull.dim, den, den)
-    fractions = {t: Fraction(t, common) for t in set().union(*points)}
-    return [tuple(map(fractions.__getitem__, point)) for point in sorted(points)]
+    return [HomogeneousPoint((*point, common)) for point in sorted(points)]
 
 
 def _add_grid(
@@ -212,17 +209,17 @@ def convexity_probe(
     Probes every barycentric grid point (denominator up to ``density``) of
     the hull of the union, plus pairwise vertex midpoints, for membership in
     some member.  ``(False, point)`` certifies non-convexity; ``(True, None)``
-    means no counterexample at this density.
+    means no counterexample at this density.  Only a witness is built as a
+    ``Fraction`` vector.
     """
     if density < 1:
         raise ValueError("density must be at least 1")
     if not union:
         raise ValueError("empty union")
     hull = hull_of_union(union)
-    for point in probe_points(hull, density):
-        y = homogeneous(point)
+    for y in probe_points(hull, density):
         if not any(contains_point(member, y) for member in union):
-            return False, point
+            return False, tuple(Fraction(a, y[-1]) for a in y[:-1])
     return True, None
 
 
@@ -244,11 +241,12 @@ def interior_check(blocks: Sequence["Block"], genus: int) -> InteriorReport:
             if other is candidate:
                 continue
             den, rows = other.polytope.integer_vertices
-            for v, row in zip(other.polytope.vertices, rows):
+            for row in rows:
                 y = HomogeneousPoint((*row, den))
                 if not contains_point(candidate.polytope, y):
+                    vertex = tuple(str(Fraction(c, den)) for c in row)
                     stray = (
-                        f"vertex {tuple(str(c) for c in v)} of block "
+                        f"vertex {vertex} of block "
                         f"{other.key.label()} outside {candidate.key.label()}"
                     )
                     break

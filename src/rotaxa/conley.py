@@ -15,6 +15,7 @@ structural claims about the blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import ModelValidationError
@@ -24,7 +25,7 @@ from .exactgeom import (
     SubspaceBasis,
     extreme_points,
     hull_of_union,
-    zero_vector,
+    origin_column,
 )
 from .heteroclinic import Chain, HeteroclinicPoset
 from .markov import ANNULAR, ATTRACTING, CURVED, REPELLING, TRIVIAL
@@ -51,11 +52,13 @@ class DecompositionModel:
     subsurfaces: tuple[Subsurface, ...]
     assignment: Mapping[str, str]
 
+    @cached_property
+    def _by_id(self) -> dict[str, Subsurface]:
+        """Each subsurface by id, the first one on a duplicate id."""
+        return {sub.id: sub for sub in reversed(self.subsurfaces)}
+
     def subsurface(self, name: str) -> Subsurface:
-        for sub in self.subsurfaces:
-            if sub.id == name:
-                return sub
-        raise KeyError(name)
+        return self._by_id[name]
 
 
 @dataclass(frozen=True)
@@ -256,7 +259,7 @@ def coned(polytope: RationalPolytope) -> RationalPolytope:
     if polytope.holds_origin:
         return polytope
     den, rows = polytope.integer_vertices
-    origin = HomogeneousPoint((0,) * polytope.dim + (1,))
+    origin = origin_column(polytope.dim)
     return extreme_points(
         [*(HomogeneousPoint((*row, den)) for row in rows), origin],
         [*polytope.vertex_functionals, polytope.origin_separation],
@@ -279,7 +282,7 @@ def enumerate_blocks(chains: Sequence[ChainData]) -> list[Block]:
         if len(polytopes) == 1:
             polytope = coned(polytopes[0])
         else:
-            polytope = hull_of_union(polytopes, [zero_vector(polytopes[0].dim)])
+            polytope = hull_of_union(polytopes, [origin_column(polytopes[0].dim)])
         blocks.append(
             Block(
                 key=key,

@@ -235,11 +235,12 @@ def _chain_in_block(computation: Computation) -> CheckOutcome:
             if polytope == block.polytope:
                 continue
             den, rows = polytope.integer_vertices
-            for v, row in zip(polytope.vertices, rows):
-                if not contains_point(block.polytope, HomogeneousPoint((*row, den))):
+            for row in rows:
+                y = HomogeneousPoint((*row, den))
+                if not contains_point(block.polytope, y):
                     issues.append(
                         f"chain {'<'.join(chain)}: vertex "
-                        f"{tuple(str(c) for c in v)} outside block {block.key.label()}"
+                        f"{_point_text(y)} outside block {block.key.label()}"
                     )
     return CheckOutcome("chain_in_block", not issues, tuple(issues))
 

@@ -1,43 +1,33 @@
 """Exact rational convex geometry in homology coordinates.
 
-Vectors are plain tuples of ``fractions.Fraction`` (a class in the first
-homology of a genus-``g`` surface is a point of Q^{2g}).  Polytopes are kept
-in V-representation only: a canonical, lexicographically sorted tuple of
-irredundant vertices, so structural equality of two polytopes is the same
-thing as geometric equality.  No tolerances exist anywhere: every decision
-is exact.
+A homology class of a genus-``g`` surface is a point of Q^{2g}, and every
+vertex the engine builds is a cycle mean or a hull vertex of such means.
+So a polytope is stored as ``integer_vertices``: integer rows over the
+vertices' least common denominator, sorted and irredundant, so structural
+equality is geometric equality.  Every decision is exact.  ``Fraction``
+vectors meet this form at two edges only: model input, converted once per
+vector (:func:`~rotaxa.simplex.integer_rows`), and output, a polytope's
+``vertices``, built on first read.  In between, a point is its homogeneous
+integer column ``[x·den; den]`` (:class:`HomogeneousPoint`).
 
-A polytope also keeps its vertices as integers over their least common
-denominator (``integer_vertices``), from the integer rows its hull was built
-on.  Every exact
-rank, span and affine-independence question goes through one fraction-free
-integer Gauss-Jordan elimination (:func:`~rotaxa.kernel._eliminate`, after
-Bareiss 1968).
-A polytope whose vertices are affinely independent (a simplex, which every
-chain polytope and block of the fixtures is) answers membership and segment
-queries from a :class:`~rotaxa.kernel.SimplexKernel`: integer rows,
-eliminated once per polytope and cached on it, that give barycentric
-coordinates and the affine hull equations, so each query is a handful of
-integer dot products.  The kernel is eliminated on the polytope's support,
-the coordinates that some vertex uses; each other coordinate is an implicit
-hull equation ``x_j = 0`` (see :mod:`rotaxa.kernel`).  Other
-polytopes answer them by exact linear programs on the vertices' homogeneous
-integer columns ``[v·den; den]``.  Either way a query point is read as its
-own homogeneous integer column (:func:`homogeneous`), which a caller that
-tests one point against several polytopes, or the ends of one segment
-against a family, converts once.  A point set that
-the elimination shows to be affinely independent is its own vertex set; any
-other hull is LP-certified.  There a point is proved inside by a witness
-simplex, affinely independent points of the set whose hull holds it: the
-basis of a feasible membership LP is one, its kernel is read from the LP's
-final tableau, and its sign tests then decide later points with no LP.  A
-point is proved a vertex by an integer functional that it alone maximizes:
-a Farkas functional, and the LP that finds it is resumed with one more
-column each time the functional exposes another vertex.  The hull keeps
-these functionals (``vertex_functionals``), so when its vertices are hulled
-again with more points (coned to the origin, or pooled with other
-polytopes), each vertex is re-proved by integer dot products, and only the
-vertices whose functional no longer exposes them take an LP.
+Every exact rank, span and affine-independence question goes through one
+fraction-free integer Gauss-Jordan elimination
+(:func:`~rotaxa.kernel._eliminate`, after Bareiss 1968).  A polytope whose
+vertices are affinely independent (a simplex, which every chain polytope
+and block of the fixtures is) answers membership and segment queries from
+a :class:`~rotaxa.kernel.SimplexKernel`: integer rows, eliminated once per
+polytope on its support (the coordinates that some vertex uses; see
+:mod:`rotaxa.kernel`) and cached on it, that give barycentric coordinates
+and the affine hull equations, so each query is a handful of integer dot
+products.  Other polytopes answer them by exact linear programs on the
+vertices' homogeneous columns.  A point set that the elimination shows to
+be affinely independent is its own vertex set; any other hull is
+LP-certified (:func:`extreme_points`): a point is proved inside by a
+witness simplex and a vertex by an integer functional that it alone
+maximizes.  The hull keeps these functionals (``vertex_functionals``), so
+when its vertices are hulled again with more points (coned to the origin,
+or pooled with other polytopes), only the vertices whose functional no
+longer exposes them take an LP.
 """
 
 from __future__ import annotations
@@ -89,39 +79,38 @@ def format_vector(v: Vector) -> list[str]:
 
 @dataclass(frozen=True)
 class RationalPolytope:
-    """Convex hull of finitely many rational points, in canonical form.
-
-    ``vertices`` is lexicographically sorted and irredundant: no vertex lies
-    in the hull of the others.  Instances should be produced through
-    :func:`extreme_points`, which establishes both properties.  A single
-    point (including the origin alone) is a valid polytope of dimension 0.
+    """Convex hull of finitely many rational points, in canonical form:
+    ``integer_vertices = (den, rows)``, each vertex times ``den``, their
+    least common denominator, as lexicographically sorted, irredundant
+    integer rows.  Equality and hashing compare this form, which
+    :func:`extreme_points` establishes.  A single point (including the
+    origin alone) is a valid polytope of dimension 0.
     """
 
     dim: int
-    vertices: tuple[Vector, ...]
+    integer_vertices: tuple[int, tuple[tuple[int, ...], ...]]
 
     def __post_init__(self) -> None:
-        if not self.vertices:
+        rows = self.integer_vertices[1]
+        if not rows:
             raise ValueError("a polytope needs at least one vertex")
-        for v in self.vertices:
-            if len(v) != self.dim:
-                raise DimensionMismatchError(
-                    f"vertex of length {len(v)} in ambient dimension {self.dim}"
-                )
+        if any(len(row) != self.dim for row in rows):
+            raise DimensionMismatchError(f"vertex rows must have length {self.dim}")
 
     @cached_property
-    def integer_vertices(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """``(den, rows)``: each vertex times ``den``, the least positive
-        integer that clears every denominator; stored by
-        :func:`extreme_points`, else converted once."""
-        return integer_rows(self.vertices)
+    def vertices(self) -> tuple[Vector, ...]:
+        """The vertices ``rows / den`` as ``Fraction`` vectors, for output:
+        built on first read, each distinct coordinate once."""
+        den, rows = self.integer_vertices
+        fractions = {a: Fraction(a, den) for a in set(chain.from_iterable(rows))}
+        return tuple(tuple(map(fractions.__getitem__, row)) for row in rows)
 
     @cached_property
     def simplex_kernel(self) -> SimplexKernel | None:
         """The polytope's :class:`SimplexKernel`, eliminated on first use and
         kept on this instance; ``None`` unless the vertices are affinely
         independent."""
-        if len(self.vertices) > self.dim + 1:
+        if len(self.integer_vertices[1]) > self.dim + 1:
             return None
         return _simplex_kernel(*self.integer_vertices)
 
@@ -136,7 +125,7 @@ class RationalPolytope:
         positive at its own vertex and 0 at the others."""
         kernel = self.simplex_kernel
         if kernel is None:
-            return (None,) * len(self.vertices)
+            return (None,) * len(self.integer_vertices[1])
         return tuple(map(kernel.ambient, kernel.barycentric))
 
     @property
@@ -152,7 +141,7 @@ class RationalPolytope:
         which the origin alone maximizes over the polytope and the origin.
         One LP's separating functional, or one kernel sign test on a
         simplex, decided on first use and kept on this instance."""
-        origin = homogeneous(zero_vector(self.dim))
+        origin = origin_column(self.dim)
         kernel = self.simplex_kernel
         if kernel is None:
             separation = hull_membership(_columns(self), origin).separation
@@ -178,6 +167,11 @@ def homogeneous(x: Vector | HomogeneousPoint) -> HomogeneousPoint:
         return x
     den, (nums,) = integer_rows((x,))
     return HomogeneousPoint((*nums, den))
+
+
+def origin_column(dim: int) -> HomogeneousPoint:
+    """The origin of Q^dim as its homogeneous column ``[0…0; 1]``."""
+    return HomogeneousPoint((0,) * dim + (1,))
 
 
 def _columns(polytope: RationalPolytope) -> list[tuple[int, ...]]:
@@ -287,8 +281,7 @@ def extreme_points(
     :func:`~rotaxa.simplex.integer_rows`, or all :class:`HomogeneousPoint`
     columns, which are brought over one denominator with no conversion
     (:func:`~rotaxa.simplex.homogeneous_rows`): a polytope's
-    ``integer_vertices`` or a cycle's integer sum give them.  Only the
-    vertices the hull keeps are built as ``Fraction`` vectors, and its
+    ``integer_vertices`` or a cycle's integer sum give them.  The hull's
     ``integer_vertices`` are over their least denominator.
 
     Distinct points that are affinely independent (at most ``dim + 1`` of
@@ -422,20 +415,18 @@ def extreme_points(
 
 
 def _polytope(dim: int, den: int, rows: Sequence[tuple[int, ...]], **cached):
-    """The polytope on the vertices ``rows / den``, with ``integer_vertices``
-    over their least denominator and any other ``cached`` properties kept
-    where they would be stored.  Each distinct coordinate is built as a
-    ``Fraction`` once."""
+    """The polytope on the sorted vertex rows ``rows / den``, brought over
+    their least denominator, with the ``cached`` properties kept where they
+    would be stored."""
     den, rows = lowest_terms(den, rows)
-    fractions = {a: Fraction(a, den) for a in set(chain.from_iterable(rows))}
-    vertices = tuple(tuple(map(fractions.__getitem__, row)) for row in rows)
-    polytope = RationalPolytope(dim, vertices)
-    vars(polytope).update(integer_vertices=(den, tuple(rows)), **cached)
+    polytope = RationalPolytope(dim, (den, tuple(rows)))
+    vars(polytope).update(cached)
     return polytope
 
 
 def hull_of_union(
-    polytopes: Sequence[RationalPolytope], points: Iterable[Vector] = ()
+    polytopes: Sequence[RationalPolytope],
+    points: Iterable[Vector | HomogeneousPoint] = (),
 ) -> RationalPolytope:
     """Hull of the polytopes' vertices together with ``points``.
 
@@ -464,9 +455,9 @@ def affine_dim(polytope: RationalPolytope) -> int:
     """Dimension of the affine hull: ``len(vertices) - 1`` for a simplex,
     whose kernel decided it; otherwise the rank of the rows ``[v, 1]`` on
     the coordinates that some vertex uses, less 1."""
-    if polytope.simplex_kernel is not None:
-        return len(polytope.vertices) - 1
     den, rows = polytope.integer_vertices
+    if polytope.simplex_kernel is not None:
+        return len(rows) - 1
     support = [j for j, column in enumerate(zip(*rows)) if any(column)]
     rows = [[*(v[j] for j in support), den] for v in rows]
     return len(_eliminate(rows, len(support) + 1)) - 1

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Collection, Iterable, Mapping, Sequence
@@ -83,9 +84,10 @@ class MarkovGraph:
     def displacements(self) -> dict[str, Vector]:
         return {name: disp for name, disp in self.nodes}
 
+    @cached_property
     def integer_displacements(self) -> tuple[int, dict[str, tuple[int, ...]]]:
         """The displacements' common denominator ``den`` and each node's
-        displacement times ``den``, as integers."""
+        displacement times ``den``, as integers: converted once per graph."""
         den, rows = integer_rows(disp for _, disp in self.nodes)
         return den, dict(zip(self.node_ids, rows))
 
@@ -339,7 +341,7 @@ def piece_rotation_set(piece: BasicPieceModel) -> RationalPolytope:
     :func:`~rotaxa.exactgeom.extreme_points` as the homogeneous column
     ``[sum; len * den]``, so no mean is built as a ``Fraction`` vector.
     """
-    den, ints = piece.graph.integer_displacements()
+    den, ints = piece.graph.integer_displacements
     n = len(ints)
     dim = len(next(iter(ints.values())))
     largest = max((abs(c) for row in ints.values() for c in row), default=0)

@@ -23,10 +23,9 @@ from .conley import (
     chain_support,
     validate_decomposition,
 )
-from .exactgeom import RationalPolytope, contains_point, integer_rank
+from .exactgeom import HomogeneousPoint, RationalPolytope, contains_point, integer_rank
 from .heteroclinic import Chain, HeteroclinicPoset, validate_poset
 from .markov import TRIVIAL, BasicPieceModel, validate_piece
-from .simplex import integer_rows
 
 
 @dataclass(frozen=True)
@@ -101,23 +100,19 @@ def validate_rotation_data(
     """
     violations: list[str] = []
     warnings: list[str] = []
-    # Each annulus basis is converted, and each distinct set of annuli
-    # decided, once per call: chains share annuli, and chains that differ
-    # only off the annuli share the whole set.
-    annulus_rows: dict[str, tuple[tuple[int, ...], ...]] = {}
+    # Each distinct set of annuli is decided once per call, on the integer
+    # rows that validate_decomposition converted for each basis's rank.
     direct_sums: dict[tuple[str, ...], bool] = {}
+    subsurface = model.decomposition.subsurface
     for chain in chain_sets:
         annuli = tuple(
             sub_id
             for sub_id in sorted(chain_support(chain, model))
-            if model.decomposition.subsurface(sub_id).kind == ANNULUS
+            if subsurface(sub_id).kind == ANNULUS
         )
         if annuli not in direct_sums:
-            for sub_id in annuli:
-                if sub_id not in annulus_rows:
-                    basis = model.decomposition.subsurface(sub_id).subspace.basis
-                    annulus_rows[sub_id] = integer_rows(basis)[1]
-            stacked = [row for sub_id in annuli for row in annulus_rows[sub_id]]
+            bases = [subsurface(sub_id).subspace.integer_basis for sub_id in annuli]
+            stacked = [row for basis in bases for row in basis]
             direct_sums[annuli] = integer_rank(stacked) == len(stacked)
         if not direct_sums[annuli]:
             violations.append(
@@ -129,14 +124,15 @@ def validate_rotation_data(
     for index, piece in enumerate(model.pieces):
         if piece.classification != TRIVIAL:
             continue
-        vertices = piece_sets[piece.id].vertices
-        if len(vertices) != 1:
+        den, rows = piece_sets[piece.id].integer_vertices
+        point = HomogeneousPoint((*rows[0], den))
+        if len(rows) != 1:
             violations.append(
                 f"/pieces/{index} ({piece.id}): trivial piece with "
                 "non-singleton rotation set"
             )
         elif chain_sets and not any(
-            contains_point(cs, vertices[0]) for cs in chain_sets.values()
+            contains_point(cs, point) for cs in chain_sets.values()
         ):
             warnings.append(
                 f"trivial piece {piece.id!r} rotates outside every chain set"

@@ -181,7 +181,7 @@ def sample_chain_averages(
     tables = []
     for name in chain:
         graph = pieces[name].graph
-        den, ints = graph.integer_displacements()
+        den, ints = graph.integer_displacements
         walk = (sorted(graph.node_ids), graph.successors())
         # The last entry maps each distinct word drawn to its integer total
         # and scale, or to None when the total is zero.

@@ -29,6 +29,7 @@ from rotaxa.analysis import (
 )
 from rotaxa.engine import compute, run_checks
 from rotaxa.exactgeom import (
+    HomogeneousPoint,
     affine_dim,
     as_vector,
     contains_point,
@@ -147,8 +148,11 @@ class TestVerticesConvertedOnce:
         assert affine_dim(hull) == dim
         assert classify_chain(hull).kind == kind
         assert len(probe_points(hull, 2)) == len(points) + comb(len(points), 2)
-        # The counter sees conversions: the origin of the membership test.
-        assert zero_vector(len(points[0])) in converted
+        # The counter sees conversions: a Fraction point handed to a
+        # membership test.
+        outside = tuple(c + 9 for c in points[0])
+        assert not contains_point(hull, outside)
+        assert outside in converted
         assert not set(hull.vertices) & set(converted)
 
     def test_stored_rows_are_the_vertices_over_one_denominator(self):
@@ -367,7 +371,10 @@ class TestConvexityProbe:
                             sum(Fraction(w, den) * v[k] for w, v in zip(weights, verts))
                             for k in range(hull.dim)
                         ))
-            assert probe_points(hull, density) == sorted(expected)
+            columns = probe_points(hull, density)
+            assert all(isinstance(y, HomogeneousPoint) for y in columns)
+            read = [tuple(Fraction(a, y[-1]) for a in y[:-1]) for y in columns]
+            assert read == sorted(expected)
 
     def test_density_validation(self, triangle):
         with pytest.raises(ValueError):

@@ -527,11 +527,28 @@ class TestDecompositionValidation:
             [],
         )
 
+    def test_subsurface_lookup_reads_one_table(self):
+        # A lookup returns the tuple's own object, the first on a duplicate
+        # id (a duplicate is a violation, reported by validation); an
+        # unknown id raises KeyError.
+        first = Subsurface("A", ANNULUS, SubspaceBasis((V(1, 0),)))
+        twin = Subsurface("A", CURVED_SURFACE, SubspaceBasis(()))
+        other = Subsurface("B", CURVED_SURFACE, SubspaceBasis(()))
+        decomposition = DecompositionModel((first, other, twin), {})
+        assert decomposition.subsurface("A") is first
+        assert decomposition.subsurface("B") is other
+        with pytest.raises(KeyError):
+            decomposition.subsurface("C")
+        model = exp_family(3)
+        for sub in model.decomposition.subsurfaces:
+            assert model.decomposition.subsurface(sub.id) is sub
+
     def test_each_annulus_basis_converted_once(self, monkeypatch):
         # exp_family(4) has 16 chains, each over its own set of 8 of the 12
-        # annuli: one conversion per annulus and one rank per set.
+        # annuli: one rank per set, on the rows that each subsurface basis
+        # converted once (SubspaceBasis.integer_basis) for its own rank.
         converted, ranked = [], []
-        integer_rows, integer_rank = model_module.integer_rows, model_module.integer_rank
+        integer_rows, integer_rank = exactgeom.integer_rows, model_module.integer_rank
 
         def counted_rows(vectors):
             converted.append(vectors)
@@ -541,16 +558,13 @@ class TestDecompositionValidation:
             ranked.append(rows)
             return integer_rank(rows)
 
-        monkeypatch.setattr(model_module, "integer_rows", counted_rows)
+        monkeypatch.setattr(exactgeom, "integer_rows", counted_rows)
         monkeypatch.setattr(model_module, "integer_rank", counted_rank)
         result = compute(exp_family(4))
         assert len(result.chains) == 16
-        annuli = [
-            s.subspace.basis
-            for s in result.model.decomposition.subsurfaces
-            if s.kind == ANNULUS
-        ]
-        assert len(annuli) == 12
-        assert len(converted) == 12
-        assert {id(basis) for basis in converted} == {id(basis) for basis in annuli}
+        subsurfaces = result.model.decomposition.subsurfaces
+        bases = [s.subspace.basis for s in subsurfaces]
+        assert sum(s.kind == ANNULUS for s in subsurfaces) == 12
+        assert len(converted) == len(bases)
+        assert {id(basis) for basis in converted} == {id(basis) for basis in bases}
         assert len(ranked) == 16

@@ -20,7 +20,7 @@ from conftest import (
     vector_scale,
     vector_sub,
 )
-from rotaxa import exactgeom, heteroclinic, kernel, markov, model, simplex
+from rotaxa import exactgeom, heteroclinic, kernel, markov, simplex
 from rotaxa.conley import coned, support_span
 from rotaxa.engine import compute, run_checks
 from rotaxa.errors import DimensionMismatchError
@@ -389,7 +389,7 @@ class TestIntegerHullInput:
             stacks.append(names)
             return integer_rows(vectors)
 
-        for module in (simplex, exactgeom, markov, model):
+        for module in (simplex, exactgeom, markov):
             monkeypatch.setattr(module, "integer_rows", recorded)
         pooled = []
         union = exactgeom.hull_of_union
@@ -1046,7 +1046,8 @@ class TestSpan:
         assert rank_of(rows) == minor_rank(rows)
         basis = SubspaceBasis(tuple(rows[:basis_size]))
         inside = minor_rank(rows[:basis_size] + [x]) == minor_rank(rows[:basis_size])
-        assert in_span(basis, RationalPolytope(len(x), (x,))) == inside
+        point = RationalPolytope(len(x), simplex.integer_rows([x]))
+        assert in_span(basis, point) == inside
 
     def test_first_outside_vertex_is_reported(self):
         basis = SubspaceBasis((V(1, 0),))
@@ -1100,4 +1101,4 @@ class TestCanonicalForm:
 
     def test_post_init_rejects_empty(self):
         with pytest.raises(ValueError):
-            RationalPolytope(dim=2, vertices=())
+            RationalPolytope(dim=2, integer_vertices=(1, ()))

@@ -265,7 +265,7 @@ def tuple_summed_rotation_set(piece: BasicPieceModel):
     gcd-reduced ``(total, length)``: the summation that packed integer sums
     replaced, over the enumeration that node sets replaced, kept as their
     oracle."""
-    den, ints = piece.graph.integer_displacements()
+    den, ints = piece.graph.integer_displacements
     sums = {
         (tuple(map(sum, zip(*map(ints.__getitem__, cycle)))), len(cycle))
         for cycle in plain_simple_cycles(piece.graph)
