@@ -54,14 +54,6 @@ def as_vector(values: Iterable[int | str | Fraction]) -> Vector:
     return tuple(Fraction(v) for v in values)
 
 
-def zero_vector(dim: int) -> Vector:
-    return (_ZERO,) * dim
-
-
-def vector_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def parse_rational(text: str | int) -> Fraction:
     """Read an integer, or a string in the form ``str`` writes: ``"p/q"``
     with ``q > 1`` in lowest terms, or ``"n"``."""

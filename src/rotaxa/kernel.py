@@ -59,14 +59,20 @@ class SimplexKernel:
         return [y[i] for i in self.support]
 
     def contains(self, y: Sequence[int]) -> bool:
-        """Membership of the point whose homogeneous column is ``y``."""
-        if self.support is not None:
-            if any(y[j] for j in self.outside):
+        """Membership of the point whose homogeneous column is ``y``: one
+        sign test per position and row, stopping at the first that fails."""
+        for j in self.outside:
+            if y[j]:
                 return False
+        if self.support is not None:
             y = [y[i] for i in self.support]
-        return all(_dot(row, y) == 0 for row in self.affine) and all(
-            _dot(row, y) >= 0 for row in self.barycentric
-        )
+        for row in self.affine:
+            if sum(map(mul, row, y)):
+                return False
+        for row in self.barycentric:
+            if sum(map(mul, row, y)) < 0:
+                return False
+        return True
 
     def segment_interval(
         self, a: Sequence[int], b: Sequence[int]

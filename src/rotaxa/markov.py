@@ -50,8 +50,6 @@ from .exactgeom import (
     RationalPolytope,
     Vector,
     extreme_points,
-    vector_add,
-    zero_vector,
 )
 from .simplex import integer_rows
 
@@ -207,14 +205,14 @@ def check_admissible(
 
 
 def word_rotation_vector(piece: BasicPieceModel, word: PeriodicWord) -> Vector:
-    """Average displacement along one period of a cyclic word."""
-    displacements = piece.graph.displacements()
-    check_admissible(word, displacements, set(piece.graph.edges))
-    total = zero_vector(len(next(iter(displacements.values()))))
-    for node in word:
-        total = vector_add(total, displacements[node])
-    period = Fraction(1, len(word))
-    return tuple(c * period for c in total)
+    """Average displacement along one period of a cyclic word: the integer
+    displacements summed, over the word length times their denominator."""
+    den, ints = piece.graph.integer_displacements
+    check_admissible(word, ints, set(piece.graph.edges))
+    scale = len(word) * den
+    return tuple(
+        Fraction(sum(column), scale) for column in zip(*map(ints.__getitem__, word))
+    )
 
 
 def simple_cycles(

@@ -15,7 +15,11 @@ are reproducible across implementations:
 
     state' = (6364136223846793005 * state + 1442695040888963407) mod 2^64
 
-and a bounded draw below ``n`` is ``(state' >> 32) mod n``.
+and a bounded draw below ``n`` is ``(state' >> 32) mod n``.  The seed is
+read modulo 2^64.  The sampling helpers take the state as a plain integer,
+step it inline and hand it back, so a draw costs no method call;
+:func:`convex_weights` and :func:`random_periodic_word` write it back into
+their :class:`Lcg64`, and the draws are the same either way.
 """
 
 from __future__ import annotations
@@ -56,9 +60,6 @@ class Lcg64:
         if n <= 0:
             raise ValueError("bound must be positive")
         return (self.next_raw() >> 32) % n
-
-    def choice(self, items: Sequence):
-        return items[self.below(len(items))]
 
 
 def oracle_piece_set(piece: BasicPieceModel, max_len: int) -> RationalPolytope:
@@ -117,41 +118,52 @@ def random_periodic_word(
     piece: BasicPieceModel, rng: Lcg64
 ) -> tuple[str, ...]:
     """A random closed walk in the piece graph, via first-revisit extraction."""
-    return _closed_walk(
-        sorted(piece.graph.node_ids), piece.graph.successors(), rng
+    word, rng.state = _closed_walk(
+        sorted(piece.graph.node_ids), piece.graph.successors(), rng.state
     )
+    return word
 
 
 def _closed_walk(
-    nodes: Sequence[str], succ: Mapping[str, Sequence[str]], rng: Lcg64
-) -> tuple[str, ...]:
+    nodes: Sequence[str], succ: Mapping[str, Sequence[str]], state: int
+) -> tuple[tuple[str, ...], int]:
     """Walk from a random node along random successors until a node repeats;
-    the walk's loop from that node's first visit is the word."""
-    walk = [rng.choice(nodes)]
-    positions = {walk[0]: 0}
-    while True:
-        nxt = rng.choice(succ[walk[-1]])
-        if nxt in positions:
-            return tuple(walk[positions[nxt]:])
-        positions[nxt] = len(walk)
-        walk.append(nxt)
+    the walk's loop from that node's first visit is the word.  Returns the
+    word and the generator state after its draws.  A node with no successors
+    raises ``ValueError``, as :meth:`Lcg64.below` does for an empty range."""
+    try:
+        state = (LCG_MULTIPLIER * state + LCG_INCREMENT) & LCG_MASK
+        node = nodes[(state >> 32) % len(nodes)]
+        walk = [node]
+        while True:
+            options = succ[node]
+            state = (LCG_MULTIPLIER * state + LCG_INCREMENT) & LCG_MASK
+            node = options[(state >> 32) % len(options)]
+            if node in walk:
+                return tuple(walk[walk.index(node):]), state
+            walk.append(node)
+    except ZeroDivisionError:
+        raise ValueError("bound must be positive") from None
 
 
 def convex_weights(count: int, rng: Lcg64) -> list[Fraction]:
     """Random convex weights with denominator dividing WEIGHT_DENOMINATOR."""
-    return [Fraction(p, WEIGHT_DENOMINATOR) for p in _weight_parts(count, rng)]
+    parts, rng.state = _weight_parts(count, rng.state)
+    return [Fraction(p, WEIGHT_DENOMINATOR) for p in parts]
 
 
-def _weight_parts(count: int, rng: Lcg64) -> list[int]:
-    """The numerators of :func:`convex_weights` over WEIGHT_DENOMINATOR."""
+def _weight_parts(count: int, state: int) -> tuple[list[int], int]:
+    """The numerators of :func:`convex_weights` over WEIGHT_DENOMINATOR, and
+    the generator state after their draws."""
     remaining = WEIGHT_DENOMINATOR
     parts = []
     for _ in range(count - 1):
-        cut = rng.below(remaining + 1)
+        state = (LCG_MULTIPLIER * state + LCG_INCREMENT) & LCG_MASK
+        cut = (state >> 32) % (remaining + 1)
         parts.append(cut)
         remaining -= cut
     parts.append(remaining)
-    return parts
+    return parts, state
 
 
 def sample_chain_averages(
@@ -177,15 +189,15 @@ def sample_chain_averages(
     """
     if samples < 1:
         raise ValueError("samples must be positive")
-    rng = Lcg64(seed)
+    state = seed & LCG_MASK
     tables = []
     for name in chain:
         graph = pieces[name].graph
         den, ints = graph.integer_displacements
-        walk = (sorted(graph.node_ids), graph.successors())
+        walk = sorted(graph.node_ids), graph.successors()
         # The last entry maps each distinct word drawn to its integer total
         # and scale, or to None when the total is zero.
-        tables.append((walk, set(graph.edges), ints, den, {}))
+        tables.append((*walk, set(graph.edges), ints, den, {}))
     dim = len(pieces[chain[0]].graph.nodes[0][1])
     out: list[HomogeneousPoint] = []
     for _ in range(samples):
@@ -194,15 +206,16 @@ def sample_chain_averages(
         # A member with a zero weight or a zero total adds nothing, and the
         # column is reduced to lowest terms, so its scale is left out too.
         terms = []
-        for part, (walk, edges, ints, den, words) in zip(
-            _weight_parts(len(tables), rng), tables
-        ):
-            word = _closed_walk(*walk, rng)
-            if word not in words:
+        parts, state = _weight_parts(len(tables), state)
+        for part, (nodes, succ, edges, ints, den, words) in zip(parts, tables):
+            word, state = _closed_walk(nodes, succ, state)
+            summed = words.get(word, False)
+            if summed is False:
                 check_admissible(word, ints, edges)
                 total = [sum(column) for column in zip(*map(ints.__getitem__, word))]
-                words[word] = (total, len(word) * den) if any(total) else None
-            summed = words[word]
+                summed = words[word] = (
+                    (total, len(word) * den) if any(total) else None
+                )
             if part and summed:
                 terms.append((part, *summed))
         common = lcm(*(scale for _, _, scale in terms))
@@ -212,5 +225,5 @@ def sample_chain_averages(
             value = [v + factor * t for v, t in zip(value, total)]
         value.append(WEIGHT_DENOMINATOR * common)
         g = gcd(*value)
-        out.append(HomogeneousPoint(v // g for v in value))
+        out.append(HomogeneousPoint([v // g for v in value]))
     return out

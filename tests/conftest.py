@@ -23,6 +23,14 @@ def V(*coords) -> Vector:
     return as_vector(coords)
 
 
+def zero_vector(dim: int) -> Vector:
+    return (Fraction(0),) * dim
+
+
+def vector_add(u: Vector, v: Vector) -> Vector:
+    return tuple(a + b for a, b in zip(u, v))
+
+
 def vector_scale(u: Vector, s) -> Vector:
     return tuple(a * s for a in u)
 

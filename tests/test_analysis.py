@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import rotaxa.exactgeom as exactgeom
 import rotaxa.markov as markov
 import rotaxa.simplex as simplex
-from conftest import V, full_scan_gap, vector_scale
+from conftest import V, full_scan_gap, vector_add, vector_scale, zero_vector
 from rotaxa.analysis import (
     CONTAINS_ZERO,
     CONVEX,
@@ -36,8 +36,6 @@ from rotaxa.exactgeom import (
     extreme_points,
     homogeneous,
     hull_membership,
-    vector_add,
-    zero_vector,
 )
 from rotaxa.fixtures import exp_family, genus2_blocks, genus2_full, genus2_nonconvex
 

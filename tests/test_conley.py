@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import V
+from conftest import V, zero_vector
 from rotaxa import engine, exactgeom
 from rotaxa import model as model_module
 from rotaxa.conley import (
@@ -27,7 +27,6 @@ from rotaxa.exactgeom import (
     contains_point,
     extreme_points,
     rank_of,
-    zero_vector,
 )
 from rotaxa.fixtures import exp_family, genus2_blocks, genus2_full, genus2_nonconvex
 from rotaxa.heteroclinic import HeteroclinicPoset, chain_rotation_set, relation_edge

@@ -17,6 +17,7 @@ from conftest import (
     brute_extreme_2d,
     brute_membership_2d,
     full_scan_gap,
+    vector_add,
     vector_scale,
     vector_sub,
 )
@@ -41,7 +42,6 @@ from rotaxa.exactgeom import (
     segment_covered,
     segment_interval,
     segment_uncovered_gap,
-    vector_add,
     vertex_outside_span,
 )
 from rotaxa.fixtures import exp_family, genus2_full
@@ -752,6 +752,37 @@ class TestSupportKernels:
         functionals = [sparse.ambient(row) for row in sparse.barycentric]
         for c, v in zip(functionals, rows):
             assert exposes(c, v, rows)
+
+    @settings(max_examples=300)
+    @given(sparse_simplices())
+    def test_contains_agrees_with_the_membership_lp(self, case):
+        # The sign tests against the LP, which shares no code with them.
+        # Each vertex moved along each unit vector adds points that are
+        # non-zero outside the support, and points off the affine hull
+        # whenever the simplex spans less than its support.
+        verts, queries = case
+        den, rows = exactgeom.integer_rows(verts)
+        sparse = _simplex_kernel(den, rows)
+        columns = [homogeneous(v) for v in verts]
+        dim = len(rows[0])
+        for y in columns:
+            for j in range(dim):
+                queries.append(
+                    HomogeneousPoint(a + y[-1] * (i == j) for i, a in enumerate(y))
+                )
+        kinds = set()
+        for y in queries:
+            member = hull_membership(columns, y).member
+            assert sparse.contains(y) == member
+            assert (sparse.separation(y) is None) == member
+            if any(y[j] for j in sparse.outside):
+                kinds.add("outside the support")
+            elif any(_dot_q(row, sparse._project(y)) for row in sparse.affine):
+                kinds.add("off the affine hull")
+        if sparse.outside:
+            assert "outside the support" in kinds
+        if sparse.affine:
+            assert "off the affine hull" in kinds
 
     @settings(max_examples=150)
     @given(sparse_simplices())

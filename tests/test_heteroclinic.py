@@ -7,10 +7,10 @@ from itertools import combinations
 
 import pytest
 
-from conftest import V
+from conftest import V, zero_vector
 from rotaxa.engine import compute
 from rotaxa.errors import ModelValidationError
-from rotaxa.exactgeom import contains_point, extreme_points, zero_vector
+from rotaxa.exactgeom import contains_point, extreme_points
 from rotaxa.fixtures import exp_family, genus2_blocks, genus2_full, genus2_nonconvex
 from rotaxa.heteroclinic import (
     HeteroclinicPoset,

@@ -115,6 +115,13 @@ class TestWordRotation:
         )
         assert word_rotation_vector(piece, ("a", "b", "c")) == V("2/3", "1/3")
 
+    def test_rational_displacements(self):
+        # Summed over their common denominator 6, then over 2 * 6.
+        piece = curved(
+            [("a", ("1/2", "-1/3")), ("b", ("1/6", 2))], [("a", "b"), ("b", "a")]
+        )
+        assert word_rotation_vector(piece, ("a", "b")) == V("1/3", "5/6")
+
     def test_inadmissible_transition_named(self):
         piece = curved(
             [("a", (0, 0)), ("b", (1, 0))],

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import V
+from conftest import V, zero_vector
 from rotaxa import engine, exactgeom, oracle, simplex
 from rotaxa.engine import compute, run_checks
 from rotaxa.errors import InadmissibleWordError, ResourceCapError
@@ -20,7 +20,6 @@ from rotaxa.exactgeom import (
     contains_point,
     extreme_points,
     homogeneous,
-    zero_vector,
 )
 from rotaxa.fixtures import exp_family, genus2_full, get_fixture
 from rotaxa.markov import (
@@ -230,9 +229,53 @@ class TestSampling:
             [("a", "b"), ("b", "c"), ("c", "a")],
         )
         words = iter([("a", "b", "c"), ("b", "c", "a"), ("a", "c", "b")])
-        monkeypatch.setattr(oracle, "_closed_walk", lambda *args: next(words))
+        monkeypatch.setattr(
+            oracle, "_closed_walk", lambda nodes, succ, state: (next(words), state)
+        )
         with pytest.raises(InadmissibleWordError, match="'a' -> 'c'"):
             sample_chain_averages(("p",), {"p": piece}, 3, seed=1)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, 2**64 + 3, -1])
+    def test_seed_is_read_modulo_2_64(self, seed):
+        computation = compute(genus2_full())
+        table = computation.model.pieces_by_id()
+        [data] = computation.chains
+        samples = sample_chain_averages(data.chain, table, 60, seed)
+        expected = reference_samples(data.chain, table, 60, seed)
+        assert samples == [homogeneous(v) for v in expected]
+        assert samples == sample_chain_averages(
+            data.chain, table, 60, seed % 2**64
+        )
+
+    def test_draw_count(self):
+        # On a ring every walk takes one draw for its start and one per
+        # step, and closes after len(ring) steps; weights for k members
+        # take k - 1 draws.
+        ring = curved(
+            [("a", (1, 0)), ("b", (0, 1)), ("c", (1, 1))],
+            [("a", "b"), ("b", "c"), ("c", "a")],
+        )
+        rng = Lcg64(2**64 + 5)
+        draws = 0
+        for count in (3, 1, 5, 2):
+            weights = convex_weights(count, rng)
+            assert sum(weights) == 1
+            word = random_periodic_word(ring, rng)
+            assert sorted(word) == ["a", "b", "c"]
+            draws += count - 1 + 4
+        state = 5
+        for _ in range(draws):
+            state = (6364136223846793005 * state + 1442695040888963407) % 2**64
+        assert rng.state == state
+
+    def test_sink_node_raises_value_error(self):
+        # "b" has no successor, so every walk reaches an empty choice.
+        piece = curved([("a", (1, 0)), ("b", (0, 1))], [("a", "b")])
+        for seed in range(4):
+            with pytest.raises(ValueError, match="bound must be positive"):
+                random_periodic_word(piece, Lcg64(seed))
+            with pytest.raises(ValueError, match="bound must be positive"):
+                sample_chain_averages(("p",), {"p": piece}, 5, seed)
 
     def test_determinism(self):
         piece = curved(KWAPISZ_NODES, KWAPISZ_EDGES)
