@@ -41,7 +41,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import DimensionMismatchError
 from .kernel import SimplexKernel, _dot, _eliminate, _simplex_kernel
 from .simplex import INFEASIBLE, OPTIMAL, LpResult, integer_rows, resume, solve_lp
-from .simplex import homogeneous_rows, lowest_terms
+from .simplex import Columns, homogeneous_rows, lowest_terms, primitive
 
 Vector = tuple[Fraction, ...]
 
@@ -221,13 +221,17 @@ def hull_membership(columns: Sequence[Sequence[int]], y: Sequence[int]) -> Membe
     ``[p·den; den]`` over a positive ``den`` of its own (the polytope's
     ``integer_vertices`` or :func:`homogeneous` give them); a positive
     multiple of a column is the same point, and the LP takes the same
-    pivots.  On membership the separation is ``None``.  On failure it is
+    pivots.  The columns may also be given made primitive already
+    (:class:`~rotaxa.simplex.Columns`), as the LPs of one hull share them.
+    On membership the separation is ``None``.  On failure it is
     ``(c, c0)``, integers, where the functional satisfies ``c . p <= c0``
     for every hull point and ``c . x > c0`` — an LP-certified separation.
     """
-    dim = _check_uniform([*columns, y]) - 1
-    rows = list(zip(*columns)) or [()] * len(y)
-    res = solve_lp([0] * len(columns), rows, y)
+    if not isinstance(columns, Columns):
+        _check_uniform([*columns, y])
+        columns = Columns(map(primitive, columns))
+    dim = len(y) - 1
+    res = solve_lp([0] * len(columns), columns, y)
     if res.status == OPTIMAL:
         return Membership(True, None, res)
     certificate = res.certificate
@@ -252,7 +256,7 @@ def contains_point(polytope: RationalPolytope, x: Vector | HomogeneousPoint) -> 
 
 def _witness_kernel(lp: LpResult) -> SimplexKernel:
     """The :class:`SimplexKernel` of a feasible membership LP's basis, read
-    from its final tableau with no elimination.
+    from its final basis inverse with no elimination.
 
     The LP's columns are homogeneous points, so a row of its basis inverse
     that is positive on one basic column and 0 on the others is a
@@ -313,10 +317,11 @@ def extreme_points(
     The LPs reuse each other's work.  When ``best`` joins the approximation,
     the candidate's LP takes it as one more column and resumes its phase 1
     where it ended (:func:`~rotaxa.simplex.resume`), rather than starting
-    again from the artificial basis.  When an LP finds ``p`` inside, its
+    again from the artificial basis; each point is made a primitive LP
+    column once, when it joins.  When an LP finds ``p`` inside, its
     final basis names affinely independent inner points whose hull holds
     ``p``: a witness simplex, whose :class:`SimplexKernel` the LP's final
-    tableau already holds (:func:`_witness_kernel`).  The kernels are kept
+    basis inverse already holds (:func:`_witness_kernel`).  The kernels are kept
     for the rest of the call, and each later candidate is first tested
     against them, newest and most recently hit first, by integer sign
     tests; one that lies in a witness simplex lies in the hull of other
@@ -356,7 +361,9 @@ def extreme_points(
             if max(values) == top and values.count(top) == 1:
                 is_vertex[i] = decided[i] = True
                 exposing[i] = tuple(c)
-    inner: list[int] = [0, n - 1]  # lexicographic extremes are vertices
+    # The LP columns of the inner approximation, each made primitive once;
+    # the lexicographic extremes are vertices.
+    inner = Columns([primitive(columns[0]), primitive(columns[-1])])
     is_vertex[0] = is_vertex[-1] = True
     decided[0] = decided[-1] = True
     # Whether a point may reach c . p for a separating c: neither in
@@ -375,8 +382,8 @@ def extreme_points(
         if hit >= 0:
             witnesses.insert(0, witnesses.pop(hit))
             continue
-        # Column j of the LP is the point inner[j], resumed ones included.
-        lp = hull_membership([columns[i] for i in inner], y).lp
+        # Column j of the LP is inner[j], resumed ones included.
+        lp = hull_membership(inner, y).lp
         while lp.status == INFEASIBLE:
             c = lp.certificate[:dim]  # type: ignore[index]
             top = _dot(c, ints[idx])
@@ -394,10 +401,10 @@ def extreme_points(
             best_i = candidates[last]
             if best > top and values.count(best) == 1 and exposing[best_i] is None:
                 exposing[best_i] = c
-            inner.append(best_i)
+            inner.append(primitive(columns[best_i]))
             may_reach[best_i] = False
             is_vertex[best_i] = decided[best_i] = True
-            lp = resume(lp, columns[best_i])
+            lp = resume(lp, inner[-1])
         else:
             witnesses.insert(0, _witness_kernel(lp))
 

@@ -129,12 +129,14 @@ def _closed_walk(
 ) -> tuple[tuple[str, ...], int]:
     """Walk from a random node along random successors until a node repeats;
     the walk's loop from that node's first visit is the word.  Returns the
-    word and the generator state after its draws.  A node with no successors
-    raises ``ValueError``, as :meth:`Lcg64.below` does for an empty range."""
+    word and the generator state after its draws.  Reaching a node with no
+    successor raises ``ValueError`` naming it, as an empty graph does."""
+    if not nodes:
+        raise ValueError("graph has no nodes")
+    state = (LCG_MULTIPLIER * state + LCG_INCREMENT) & LCG_MASK
+    node = nodes[(state >> 32) % len(nodes)]
+    walk = [node]
     try:
-        state = (LCG_MULTIPLIER * state + LCG_INCREMENT) & LCG_MASK
-        node = nodes[(state >> 32) % len(nodes)]
-        walk = [node]
         while True:
             options = succ[node]
             state = (LCG_MULTIPLIER * state + LCG_INCREMENT) & LCG_MASK
@@ -143,7 +145,7 @@ def _closed_walk(
                 return tuple(walk[walk.index(node):]), state
             walk.append(node)
     except ZeroDivisionError:
-        raise ValueError("bound must be positive") from None
+        raise ValueError(f"node {node!r} has no successor") from None
 
 
 def convex_weights(count: int, rng: Lcg64) -> list[Fraction]:

@@ -1,7 +1,7 @@
-"""Exact linear programming on an integer-preserving tableau.
+"""Exact linear programming by a revised, integer-preserving simplex method.
 
-A small dense two-phase primal simplex with no floating point anywhere: every
-pivot is exact, so feasibility and optimality answers are decisions, not
+A two-phase primal simplex with no floating point anywhere: every pivot is
+exact, so feasibility and optimality answers are decisions, not
 approximations.
 
 Problems are stated in equality standard form::
@@ -11,76 +11,71 @@ Problems are stated in equality standard form::
 
 Bland's smallest-index rule selects both the entering column and (on ratio
 ties) the leaving row, which precludes cycling, so the method terminates
-unconditionally.  Problem sizes here are tiny (rows = ambient dimension plus
-one or two, columns = a few hundred at most), so a dense tableau is the right
-tool.
+unconditionally.
 
-The tableau holds Python integers only (Edmonds 1967; Bareiss 1968).  Each
-column of the rows, and the right-hand side, enters it as its own primitive
-integer vector: scaled by that column's own denominators, then divided by its
-gcd (:func:`_primitive`).  The tableau is then kept as an integer matrix
-``M`` over one positive common denominator ``D``, starting from ``D = 1``.
-A pivot on the entry ``p = M[r][c] > 0`` keeps row ``r`` and replaces every
-other row by ``(p * M[i] - M[i][c] * M[r]) // D``, with ``p`` as the new
-``D``.  Every entry of ``M`` is then a minor of the scaled input, and
-Sylvester's identity makes the division exact.
+Each column of ``A``, and the right-hand side, enters as its own primitive
+integer vector: scaled by that column's own denominators, then divided by
+its gcd (:func:`primitive`).  The scaling does not change the pivot
+sequence.  Multiplying column ``j`` by ``s_j > 0`` multiplies its reduced
+cost by ``s_j`` (phase 1 and phase 2 alike, the costs being read in the
+scaled variables ``x_j / s_j``), and scales each basic row by a positive
+factor; in the ratio test it multiplies every ratio by the same factor
+``s_b / s_j``, where ``s_b > 0`` scales the right-hand side.  So every
+reduced-cost sign, every comparison of the ratio test and every tie is the
+one the rational method would see, and Bland's rule picks the same pivots.
+The phase 1 duals ``y`` do not change either: they solve ``y . A_j = 0`` on
+the basic structural columns, which a positive scaling leaves as it is, and
+``y_i = 1`` on the basic artificial columns, which are never scaled.
+Solutions are unscaled exactly, ``x_j = s_j x'_j / s_b``.  For cycle means
+this keeps the entries small: a mean is written as its own column
+``[total; length]``, where one common denominator would be the lcm of every
+cycle length.
 
-The scaling does not change the pivot sequence.  Multiplying column ``j``
-by ``s_j > 0`` multiplies its reduced cost by ``s_j`` (phase 1 and phase 2
-alike, the costs being read in the scaled variables ``x_j / s_j``), and
-scales each basic row by a positive factor; in the ratio test it multiplies
-every ratio by the same factor ``s_b / s_j``, where ``s_b > 0`` scales the
-right-hand side.  So every reduced-cost sign, every comparison of the ratio
-test and every tie is the one the rational tableau would see, and Bland's
-rule picks the same pivots.  The phase 1 duals ``y`` do not change either:
-they solve ``y . A_j = 0`` on the basic structural columns, which a positive
-scaling leaves as it is, and ``y_i = 1`` on the basic artificial columns,
-which are never scaled.  Solutions are unscaled exactly, ``x_j = s_j x'_j /
-s_b``.  For cycle means this keeps the entries small: a mean is written as
-its own column ``[total; length]``, where one common denominator would be
-the lcm of every cycle length.
+The rows are sign-flipped so that ``b' = F b >= 0`` (``F`` the diagonal of
+flips), and phase 1 starts from the artificial basis.  Let ``B`` be the
+current basis over the flipped, scaled columns.  The LP keeps only the
+block ``[D B^-1 F | D B^-1 b']``, one row per basic variable, its objective
+row ``-D y F``, with ``-D y . b'`` in the rhs slot, for the current duals
+``y``, and the integer ``D > 0`` (Edmonds 1967; Bareiss 1968).  The
+tableau ``D B^-1 [A' | I | b']`` is never formed: column ``a`` (primitive,
+unflipped) has the entry ``R . a`` in the row ``R`` of the block, and the
+reduced cost ``D c + obj . a``.  Bland's rule prices the columns in order
+and stops at the first negative one; only that column's entries are
+computed.  A pivot on the entry ``p = R_r . a > 0`` keeps row ``r`` and
+replaces every other row ``R``, and the objective row, by ``(p R - (R . a)
+R_r) // D``, with ``p`` as the new ``D``.  These are the entries a
+tableau would hold in the same columns, pivoted the same way: each is a
+minor of the scaled input, and Sylvester's identity makes the division
+exact.  Every phase 1 pivot is positive, so ``D = det B`` (it starts at
+``det I = 1``).  In phase 1 the costs ``c`` are 0 and the artificial ones
+1, so ``-D y`` is the artificial reduced costs ``D (1 - y)`` less ``D``;
+phase 2 starts from ``-sum_i c_(B_i) R_i`` on its own primitive costs.
 
 When a problem is infeasible we also report a Farkas certificate: a vector
 ``y`` with ``y . A_j <= 0`` for every column ``j`` and ``y . b > 0``: the
-phase 1 duals, given as the primitive integer vector they are a positive
-multiple of.  The geometry layer turns that certificate into a separating
-functional, which is what makes the convex-hull routines output-sensitive.
+phase 1 duals ``y F``, given as the primitive integer vector that the
+negated objective row is a positive multiple of.  The geometry layer turns
+that certificate into a separating functional, which is what makes the
+convex-hull routines output-sensitive.
 
 An infeasible LP can take one more column and go on from where its phase 1
 ended (:func:`resume`), rather than be solved again from the artificial
-basis.  Write the rows sign-flipped so that ``b' >= 0`` (``a'_i = flip_i
-a_i``) and let ``B`` be the basis, over those rows, that phase 1 ended in.
-Every phase 1 pivot is positive, so ``D = det B > 0`` (it starts at
-``det I = 1``, and a pivot on ``p`` makes it ``p``, the determinant of the
-new basis), and the tableau is ``D B^-1`` times the flipped, scaled input,
-the objective row ``D`` times the reduced costs.  Two facts follow:
+basis.  The stored state depends on the basis ``B`` alone, not on the
+pivots that reached it, and no column is stored in it: the new column is
+appended, priced and entered like any other, and Bland's rule goes on from
+``B`` as it would on the enlarged LP.  If phase 1 ends at a positive
+optimum again, every reduced cost ``-y . A'_j`` is ``>= 0``, the new
+column's included, and the objective value ``y . b'`` is positive: ``y F``
+is again a Farkas certificate for the enlarged LP.  Otherwise the LP is
+feasible and goes on to phase 2 as usual.
 
-* The artificial columns started as the identity, so they now hold
-  ``D B^-1``, an integer matrix (the adjugate of ``B``).  The new column's
-  entries are that block times ``a'``, for the new primitive column ``a``:
-  exact, with no division.
-* The phase 1 duals are ``y_i = (D - obj[n+i]) / D``, read off the
-  artificial reduced costs ``1 - y_i``.  The new column has cost 0 in
-  phase 1, so its objective entry is ``-D y . a' = -sum_i (D - obj[n+i])
-  flip_i a_i``.
-
-Both are the entries that the enlarged LP's tableau holds at the basis
-``B``, which depends on ``B`` alone and not on the pivots that reached it;
-so every later division is exact by the same minor argument, and Bland's
-rule goes on from ``B`` as it would on that LP.  If phase 1 ends at a
-positive optimum again, every reduced cost ``-y . A'_j`` is ``>= 0``, the
-new column's included, and the objective value ``y . b'`` is positive:
-``y``, flipped back, is again a Farkas certificate for the enlarged LP.
-Otherwise the LP is feasible and goes on to phase 2 as usual.
-
-A feasible LP whose costs are all 0 stops after phase 1 with its
-artificial block intact, so its basis inverse is there to read
-(:attr:`LpResult.basis_inverse`): row ``i`` of ``D B^-1``, its flips
-undone, is positive on the ``i``-th basic column and 0 on the others.  A
-row that phase 1 drops as redundant is 0 on every structural column; its
-artificial block is kept as it stood, a functional that vanishes on every
-column.  The geometry layer reads a witness simplex's barycentric and
-affine rows from these, with no elimination of its own.
+A feasible LP whose costs are all 0 stops after phase 1, so its basis
+inverse is there to read (:attr:`LpResult.basis_inverse`): row ``i`` of
+``D B^-1 F`` is positive on the ``i``-th basic column and 0 on the others.
+A row that phase 1 drops as redundant is 0 on every structural column; its
+block is kept as it stood, a functional that vanishes on every column.  The
+geometry layer reads a witness simplex's barycentric and affine rows from
+these, with no elimination of its own.
 """
 
 from __future__ import annotations
@@ -90,7 +85,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from operator import mul
+from typing import Iterable, NamedTuple, Sequence
 from weakref import ref
 
 OPTIMAL = "optimal"
@@ -98,27 +94,42 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-class _Tableau:
-    """The working state of one LP: its fraction-free tableau and basis, and
-    what it takes to read them back in the caller's variables."""
+class Column(NamedTuple):
+    """An LP column as its primitive integer vector: ``ints`` is the column
+    times ``d / g``, where ``d`` clears every denominator and ``g`` is the
+    gcd left after that (1 for a zero column)."""
+
+    ints: tuple[int, ...]
+    d: int
+    g: int
+
+
+class Columns(list):
+    """An LP's columns, each a :class:`Column`, given to :func:`solve_lp` in
+    place of its rows, so that LPs over the same points share them."""
+
+
+class _Lp:
+    """The working state of one LP: the block and objective row of its
+    basis (see the module docstring), and what it takes to read them back
+    in the caller's variables."""
 
     __slots__ = (
-        "costs", "columns", "rhs_d", "rhs_g", "flips",
-        "rows", "obj", "basis", "den", "latest", "redundant",
+        "costs", "columns", "rhs_d", "rhs_g", "rows", "obj", "basis", "den",
+        "latest", "redundant",
     )
 
-    def __init__(self, costs, columns, rhs_d, rhs_g, flips, rows, obj, basis):
+    def __init__(self, costs, columns, rhs_d, rhs_g, rows, obj, basis):
         self.costs = costs  # the caller's costs
-        self.columns = columns  # (ints, d, g) of each structural column
+        self.columns = columns  # a Column for each structural column
         self.rhs_d, self.rhs_g = rhs_d, rhs_g
-        self.flips = flips  # the sign each row was multiplied by
         self.rows = rows
         self.obj = obj
         self.basis = basis
         self.den = 1
         # A weak reference (no cycle) to the infeasible result resume takes.
         self.latest = None
-        # The artificial block of each row that phase 1 drops as redundant.
+        # The block of each row that phase 1 drops as redundant.
         self.redundant = []
 
 
@@ -130,13 +141,13 @@ class LpResult:
     is set only for status ``"infeasible"``.  For status ``"optimal"``,
     ``basis`` lists the basic columns in row order (structural ones only:
     the artificials are expelled and redundant rows dropped after phase 1),
-    and ``solution`` and ``value`` are built from the final tableau when
+    and ``solution`` and ``value`` are built from the final block when
     first read.
     """
 
     status: str
     certificate: tuple[int, ...] | None = None
-    _lp: _Tableau | None = None
+    _lp: _Lp | None = None
 
     @property
     def basis(self) -> tuple[int, ...] | None:
@@ -149,30 +160,24 @@ class LpResult:
         self,
     ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]] | None:
         """``(rows, redundant)`` of an optimal LP whose costs are all 0,
-        read from its final tableau; ``None`` for any other LP.
+        read from its final block; ``None`` for any other LP.
 
         Both are integer functionals on the constraint rows (acting on a
         column ``a`` of the caller's LP, or on its rhs).  ``rows[i]`` is
         positive on the basic column ``basis[i]`` and 0 on every other basic
         column; each row of ``redundant`` is 0 on every column.  They are
-        the rows of the artificial block ``D B^-1`` (see the module
-        docstring) with the row flips undone, a redundant row as it stood
-        when phase 1 dropped it: a non-zero multiple of its row at the end,
-        since each later pivot column is 0 in it.  So they are linearly
-        independent, ``len(rows) + len(redundant)`` of them, one per
-        constraint row.
+        the rows of ``D B^-1 F`` (see the module docstring), a redundant row
+        as it stood when phase 1 dropped it: a non-zero multiple of its row
+        at the end, since each later pivot column is 0 in it.  So they are
+        linearly independent, ``len(rows) + len(redundant)`` of them, one
+        per constraint row.
         """
         if self.status != OPTIMAL or any(self._lp.costs):
             return None
         lp = self._lp
-        n, flips = len(lp.columns), lp.flips
-
-        def unflipped(block):
-            return tuple(a * flip for a, flip in zip(block, flips))
-
         return (
-            tuple(unflipped(entries[n:-1]) for entries in lp.rows),
-            tuple(unflipped(block) for block in lp.redundant),
+            tuple(tuple(entries[:-1]) for entries in lp.rows),
+            tuple(map(tuple, lp.redundant)),
         )
 
     @cached_property
@@ -233,224 +238,200 @@ def lowest_terms(den: int, rows: Sequence[Sequence[int]]) -> tuple[int, Sequence
 
 def solve_lp(
     costs: Sequence[Fraction],
-    rows: Sequence[Sequence[Fraction]],
+    rows: Sequence[Sequence[Fraction]] | Columns,
     rhs: Sequence[Fraction],
 ) -> LpResult:
     """Minimize ``costs . x`` subject to ``rows @ x == rhs`` and ``x >= 0``.
 
-    Entries may be ints or Fractions.
+    Entries may be ints or Fractions.  The rows may also be given by their
+    columns, already primitive (:class:`Columns`).
     """
-    n = len(costs)
-    m = len(rows)
-    if any(len(row) != n for row in rows) or len(rhs) != m:
+    m = len(rhs)
+    if isinstance(rows, Columns):
+        columns = list(rows)
+    else:
+        if len(rows) != m or any(len(row) != len(costs) for row in rows):
+            raise ValueError("inconsistent LP dimensions")
+        columns = [primitive([row[j] for row in rows]) for j in range(len(costs))]
+    if len(columns) != len(costs) or any(len(a.ints) != m for a in columns):
         raise ValueError("inconsistent LP dimensions")
-
-    # Tableau: m constraint rows over n structural + m artificial columns,
-    # with the right-hand side appended as the final entry of each row.
-    # Each column, and the rhs, is entered as its own primitive integer
-    # vector (see the module docstring).  Rows are sign-normalized so every
-    # rhs is nonnegative; the flips are remembered to unscramble the
-    # certificate.
-    columns = [_primitive([row[j] for row in rows]) for j in range(n)]
-    int_rhs, rhs_d, rhs_g = _primitive(rhs)
-    flips = []
-    tableau = []
+    # Phase 1 starts from the artificial basis: the block is F, beside b'.
+    # Its objective row is -F (y = 1), with -sum(b') in the rhs slot.
+    int_rhs, rhs_d, rhs_g = primitive(rhs)
+    block = []
     for i, beta in enumerate(int_rhs):
-        entries = [ints[i] for ints, _, _ in columns] + [0] * m + [beta]
-        if beta < 0:
-            flips.append(-1)
-            entries = [-a for a in entries]
-        else:
-            flips.append(1)
-        entries[n + i] = 1
-        tableau.append(entries)
-
-    # Phase 1: minimize the sum of artificials.  The objective row holds
-    # reduced costs, with the negated objective value in the rhs slot.
-    obj = [0] * (n + m + 1)
-    for entries in tableau:
-        obj = [o - a for o, a in zip(obj, entries)]
-    obj[n : n + m] = [0] * m
-
+        entries = [0] * m + [abs(beta)]
+        entries[i] = -1 if beta < 0 else 1
+        block.append(entries)
+    obj = [-entries[i] for i, entries in enumerate(block)]
+    obj.append(-sum(map(abs, int_rhs)))
+    n = len(columns)
     basis = [n + i for i in range(m)]
-    lp = _Tableau(list(costs), columns, rhs_d, rhs_g, flips, tableau, obj, basis)
-    return _solve(lp)
+    return _solve(_Lp(list(costs), columns, rhs_d, rhs_g, block, obj, basis))
 
 
-def resume(result: LpResult, column: Sequence[Fraction]) -> LpResult:
+def resume(result: LpResult, column: Sequence[Fraction] | Column) -> LpResult:
     """:func:`solve_lp` on the infeasible LP of ``result`` with ``column``
     appended at cost 0, resumed from the basis its phase 1 ended in.
 
-    The new column enters the tableau as the module docstring describes,
-    and Bland's rule goes on from there.  ``result`` must be the latest
-    result of its LP; its tableau is taken over.
+    The column is appended as the module docstring describes, and Bland's
+    rule goes on from there.  ``result`` must be the latest result of its
+    LP; its state is taken over.
     """
     lp = result._lp
     if lp is None or lp.latest is None or lp.latest() is not result:
         raise ValueError("only the latest infeasible result of an LP resumes")
     lp.latest = None
-    n, m = len(lp.columns), len(lp.flips)
-    if len(column) != m:
+    if not isinstance(column, Column):
+        column = primitive(column)
+    if len(column.ints) != len(lp.obj) - 1:
         raise ValueError("inconsistent LP dimensions")
-    ints, d, g = _primitive(column)
-    signed = [flip * a for flip, a in zip(lp.flips, ints)]
-    # The artificial block of each row is a row of den * B^-1.
-    for entries in lp.rows:
-        entries.insert(n, sum(a * s for a, s in zip(entries[n : n + m], signed)))
-    den = lp.den
-    lp.obj.insert(
-        n, -sum((den - o) * s for o, s in zip(lp.obj[n : n + m], signed))
-    )
+    # The artificial variables stay numbered after the structural ones.
+    n = len(lp.columns)
     lp.basis[:] = [var + 1 if var >= n else var for var in lp.basis]
-    lp.columns.append((ints, d, g))
+    lp.columns.append(column)
     lp.costs.append(0)
     return _solve(lp)
 
 
-def _solve(lp: _Tableau) -> LpResult:
-    """Phase 1 from the tableau's current basis, then phase 2."""
-    n, m = len(lp.columns), len(lp.flips)
-    tableau, obj, basis = lp.rows, lp.obj, lp.basis
-    status, lp.den = _iterate(tableau, obj, basis, n, lp.den)
-    if status == UNBOUNDED:  # pragma: no cover - phase 1 is always bounded
+def _solve(lp: _Lp) -> LpResult:
+    """Phase 1 from the LP's current basis, then phase 2."""
+    if _iterate(lp) == UNBOUNDED:  # pragma: no cover - phase 1 is bounded
         raise AssertionError("phase 1 cannot be unbounded")
-    if obj[-1] < 0:
-        # Duals from the artificial reduced costs: cbar_{a_i} = 1 - y_i, so
-        # y_i = (den - obj[n + i]) / den, and den > 0 after phase 1.
-        y = [lp.flips[i] * (lp.den - obj[n + i]) for i in range(m)]
+    if lp.obj[-1] < 0:
+        y = [-a for a in lp.obj[:-1]]
         g = gcd(*y)
         result = LpResult(INFEASIBLE, tuple(a // g for a in y), lp)
         lp.latest = ref(result)
         return result
 
-    den = _expel_artificials(tableau, basis, n, lp.den, lp.redundant)
+    _expel_artificials(lp)
     if any(lp.costs):
-        # No artificial column can enter again, so phase 2 drops them.
-        for entries in tableau:
-            del entries[n:-1]
-        # Phase 2 objective row: the costs of the scaled variables, times a
-        # positive integer.
-        cost_ints, _, _ = _primitive(
-            [
-                c * Fraction(d, g) if c else 0
-                for c, (_, d, g) in zip(lp.costs, lp.columns)
-            ]
-        )
-        obj = [c * den for c in cost_ints]
-        obj.append(0)
-        for var, entries in zip(basis, tableau):
-            c = cost_ints[var]
+        # Phase 2 costs of the scaled variables, times a positive integer.
+        scaled = zip(lp.costs, lp.columns)
+        cost = primitive(
+            [c * Fraction(d, g) if c else 0 for c, (_, d, g) in scaled]
+        ).ints
+        obj = [0] * len(lp.obj)
+        for var, entries in zip(lp.basis, lp.rows):
+            c = cost[var]
             if c:
                 obj = [o - c * a for o, a in zip(obj, entries)]
-        status, den = _iterate(tableau, obj, basis, n, den)
-        if status == UNBOUNDED:
+        lp.obj = obj
+        if _iterate(lp, cost) == UNBOUNDED:
             return LpResult(UNBOUNDED)
-    lp.den = den
     return LpResult(OPTIMAL, _lp=lp)
 
 
-def _primitive(values: Sequence) -> tuple[list[int], int, int]:
-    """``(ints, d, g)``: ``values`` times ``d / g > 0`` is the primitive
-    integer vector ``ints``; ``d`` clears every denominator and ``g`` is the
-    gcd left after that (1 for a zero vector)."""
+def primitive(values: Sequence) -> Column:
+    """The :class:`Column` of ``values`` (ints or Fractions)."""
     if {type(a) for a in values} <= {int}:
-        d, ints = 1, list(values)
+        d, ints = 1, tuple(values)
     else:
         d = lcm(*[a.denominator for a in values])
-        ints = [a.numerator * (d // a.denominator) for a in values]
+        ints = tuple(a.numerator * (d // a.denominator) for a in values)
     g = gcd(*ints) or 1
     if g > 1:
-        ints = [a // g for a in ints]
-    return ints, d, g
+        ints = tuple(a // g for a in ints)
+    return Column(ints, d, g)
 
 
-def _iterate(tableau, obj, basis, allowed, den) -> tuple[str, int]:
-    """Run simplex pivots until optimal or unbounded.
+def _iterate(lp: _Lp, cost: Sequence[int] = ()) -> str:
+    """Bland pivots until optimal or unbounded.
 
-    Only the first ``allowed`` columns may enter the basis; artificial
-    columns are thereby frozen out.  Returns the status and the common
-    denominator after the last pivot.
+    ``cost`` holds phase 2's primitive costs; phase 1's are 0.  Only the
+    structural columns are priced, so an artificial never enters.
     """
+    columns, rows, obj, basis = lp.columns, lp.rows, lp.obj, lp.basis
     while True:
-        enter = -1
-        for j in range(allowed):
-            if obj[j] < 0:
-                enter = j
+        den, basic = lp.den, set(basis)
+        for enter, (a, _, _) in enumerate(columns):
+            if enter in basic:
+                continue  # its reduced cost is 0
+            reduced = sum(map(mul, obj, a))
+            if cost:
+                reduced += den * cost[enter]
+            if reduced < 0:
                 break
-        if enter < 0:
-            return OPTIMAL, den
+        else:
+            return OPTIMAL
+        column = [sum(map(mul, entries, a)) for entries in rows]
         # Ratio test by cross-multiplication: rhs_i / coeff_i with
         # coeff_i > 0, all over the same denominator.
         leave = -1
         best_rhs = best_coeff = 0
-        for i, entries in enumerate(tableau):
-            coeff = entries[enter]
+        for i, coeff in enumerate(column):
             if coeff > 0:
-                lhs = entries[-1] * best_coeff
-                rhs = best_rhs * coeff
-                if leave < 0 or lhs < rhs or (
-                    lhs == rhs and basis[i] < basis[leave]
+                rhs = rows[i][-1]
+                lhs, right = rhs * best_coeff, best_rhs * coeff
+                if leave < 0 or lhs < right or (
+                    lhs == right and basis[i] < basis[leave]
                 ):
-                    best_rhs, best_coeff = entries[-1], coeff
+                    best_rhs, best_coeff = rhs, coeff
                     leave = i
         if leave < 0:
-            return UNBOUNDED, den
-        den = _pivot(tableau, obj, basis, leave, enter, den)
+            return UNBOUNDED
+        column.append(reduced)
+        _pivot(lp, leave, enter, column)
 
 
-def _pivot(tableau, obj, basis, row, col, den) -> int:
-    """One Bland pivot on a positive entry; returns the new denominator."""
-    new_den = _eliminate((*tableau, obj), tableau[row], col, den)
-    basis[row] = col
-    return new_den
+def _pivot(lp: _Lp, row: int, col: int, column: list[int]) -> None:
+    """One Bland pivot: column ``col`` enters the basis at ``row``.
 
-
-def _eliminate(rows, pivot_row, col, den) -> int:
-    """Fraction-free elimination of column ``col`` from every other row.
-
-    Each row ``R`` becomes ``(p * R - R[col] * pivot_row) // den`` for the
-    pivot ``p``, which is the new common denominator.  The division is exact
-    by Sylvester's identity; ``den`` may be negative.
+    ``column`` holds its entry in each row of the block, positive at
+    ``row``, and then its reduced cost.
     """
-    p = pivot_row[col]
-    for other in rows:
-        if other is pivot_row:
+    lp.den = _eliminate([*lp.rows, lp.obj], column, row, lp.den)
+    lp.basis[row] = col
+
+
+def _eliminate(rows, column, row, den) -> int:
+    """Fraction-free elimination of the entering column from every row but
+    ``row``, where ``column[i]`` is its entry in ``rows[i]``.
+
+    Each other row ``R`` becomes ``(p * R - column[i] * rows[row]) // den``
+    for the pivot ``p = column[row]``, which is the new common denominator.
+    The division is exact by Sylvester's identity; ``den`` may be negative.
+    """
+    p, top = column[row], rows[row]
+    for other, factor in zip(rows, column):
+        if other is top:
             continue
-        factor = other[col]
         if factor:
-            other[:] = [(p * a - factor * b) // den for a, b in zip(other, pivot_row)]
+            other[:] = [(p * a - factor * b) // den for a, b in zip(other, top)]
         elif p != den:
             other[:] = [p * a // den for a in other]
     return p
 
 
-def _expel_artificials(tableau, basis, n, den, redundant) -> int:
-    """Pivot zero-level artificials out of the basis; drop redundant rows.
-
-    The artificial block of each dropped row is appended to ``redundant``.
-    Returns the common denominator after the last pivot.
-    """
+def _expel_artificials(lp: _Lp) -> None:
+    """Pivot zero-level artificials out of the basis; drop redundant rows,
+    keeping the block of each in ``lp.redundant``."""
+    rows, basis, columns = lp.rows, lp.basis, lp.columns
     i = 0
-    while i < len(tableau):
-        if basis[i] < n:
+    while i < len(rows):
+        if basis[i] < len(columns):
             i += 1
             continue
-        entries = tableau[i]
-        col = next((j for j in range(n) if entries[j]), None)
-        if col is None:
+        entries = rows[i]
+        for col, (a, _, _) in enumerate(columns):
+            if sum(map(mul, entries, a)):
+                break
+        else:
             # The row is zero on all structural columns: a redundant
             # constraint revealed by phase 1.
-            redundant.append(entries[n:-1])
-            del tableau[i]
+            lp.redundant.append(entries[:-1])
+            del rows[i]
             del basis[i]
             continue
+        column = [sum(map(mul, other, a)) for other in rows]
         # Degenerate pivot (rhs is zero), so the pivot may be negative.
-        # Negating the matrix and its denominator keeps the new one positive.
-        if entries[col] < 0:
-            den = -den
-            for other in tableau:
+        # Negating the block and its denominator keeps the new one positive.
+        if column[i] < 0:
+            lp.den = -lp.den
+            for other in rows:
                 other[:] = [-a for a in other]
-        den = _eliminate(tableau, entries, col, den)
+            column = [-a for a in column]
+        lp.den = _eliminate(rows, column, i, lp.den)
         basis[i] = col
         i += 1
-    return den

@@ -272,9 +272,9 @@ class TestSampling:
         # "b" has no successor, so every walk reaches an empty choice.
         piece = curved([("a", (1, 0)), ("b", (0, 1))], [("a", "b")])
         for seed in range(4):
-            with pytest.raises(ValueError, match="bound must be positive"):
+            with pytest.raises(ValueError, match="node 'b' has no successor"):
                 random_periodic_word(piece, Lcg64(seed))
-            with pytest.raises(ValueError, match="bound must be positive"):
+            with pytest.raises(ValueError, match="node 'b' has no successor"):
                 sample_chain_averages(("p",), {"p": piece}, 5, seed)
 
     def test_determinism(self):

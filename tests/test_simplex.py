@@ -1,14 +1,16 @@
 """Direct checks of the exact LP solver (statuses, values, certificates).
 
 Besides hand-made cases, a property test compares every answer with a
-brute-force oracle that enumerates all bases of small LPs.
+brute-force oracle that enumerates all bases of small LPs, and another
+compares every pivot and answer with a dense tableau (:class:`DenseTableau`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -369,18 +371,19 @@ def test_homogeneous_rows_in_lowest_terms_match_integer_rows(vectors, data):
 scales = st.builds(F, st.integers(1, 12), st.integers(1, 12))
 
 
-def _recorded_solve(costs, rows, rhs):
-    """``solve_lp``'s result and the ``(row, col)`` of every pivot it took."""
+def _recorded(call, *args):
+    """``call(*args)`` (a solve or a resume) and the ``(row, col)`` of every
+    pivot it took."""
     pivots = []
     original = simplex._pivot
 
-    def recording(tableau, obj, basis, row, col, den):
+    def recording(lp, row, col, column):
         pivots.append((row, col))
-        return original(tableau, obj, basis, row, col, den)
+        return original(lp, row, col, column)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simplex, "_pivot", recording)
-        return solve_lp(costs, rows, rhs), pivots
+        return call(*args), pivots
 
 
 def _with_ints(values):
@@ -397,13 +400,15 @@ def test_column_scaling_keeps_pivots_and_certificates(lp, data):
     n = len(costs)
     column_scales = data.draw(st.lists(scales, min_size=n, max_size=n))
     rhs_scale = data.draw(scales)
-    res, pivots = _recorded_solve(costs, rows, rhs)
-    scaled = _recorded_solve(
+    res, pivots = _recorded(solve_lp, costs, rows, rhs)
+    scaled = _recorded(
+        solve_lp,
         [c * s for c, s in zip(costs, column_scales)],
         [[a * s for a, s in zip(row, column_scales)] for row in rows],
         [b * rhs_scale for b in rhs],
     )
-    as_ints = _recorded_solve(
+    as_ints = _recorded(
+        solve_lp,
         _with_ints(costs), [_with_ints(row) for row in rows], _with_ints(rhs)
     )
     for other, other_pivots in (scaled, as_ints):
@@ -420,6 +425,188 @@ def test_column_scaling_keeps_pivots_and_certificates(lp, data):
     elif res.status == INFEASIBLE:
         assert all(type(a) is int for a in res.certificate)
         assert gcd(*res.certificate) == 1
+
+
+def _dense_primitive(values):
+    """``(ints, d, g)``: ``values`` times ``d / g`` is a primitive integer
+    vector, ``d`` the lcm of the denominators (``g`` is 1 for a zero
+    vector)."""
+    d = lcm(*[F(a).denominator for a in values])
+    ints = [int(a * d) for a in values]
+    g = gcd(*ints) or 1
+    return [a // g for a in ints], d, g
+
+
+class DenseTableau:
+    """A dense two-phase tableau simplex: the reference for the solver's
+    pivots and answers.
+
+    All ``n + m + 1`` entries of each constraint row, over the structural
+    columns, the artificial ones and the rhs, and of the objective row, are
+    kept as integers over one denominator and rewritten on every pivot.
+    :meth:`resume` inserts the new column's entries, computed from the
+    artificial block and the phase 1 duals.
+    """
+
+    def __init__(self, costs, rows, rhs):
+        n, m = len(costs), len(rows)
+        self.costs = list(costs)
+        self.columns = [_dense_primitive([row[j] for row in rows]) for j in range(n)]
+        int_rhs, self.rhs_d, self.rhs_g = _dense_primitive(rhs)
+        self.flips = [-1 if beta < 0 else 1 for beta in int_rhs]
+        self.tableau = []
+        for i, (beta, flip) in enumerate(zip(int_rhs, self.flips)):
+            entries = [flip * ints[i] for ints, _, _ in self.columns]
+            entries += [0] * m + [flip * beta]
+            entries[n + i] = 1
+            self.tableau.append(entries)
+        self.obj = [-sum(column) for column in zip(*self.tableau)]
+        self.obj[n : n + m] = [0] * m
+        self.basis = [n + i for i in range(m)]
+        self.den, self.redundant = 1, []
+        self._solve()
+
+    def resume(self, column):
+        n, m = len(self.columns), len(self.flips)
+        ints, d, g = _dense_primitive(column)
+        signed = [flip * a for flip, a in zip(self.flips, ints)]
+        for entries in self.tableau:
+            entries.insert(n, sum(a * s for a, s in zip(entries[n : n + m], signed)))
+        self.obj.insert(
+            n, -sum((self.den - o) * s for o, s in zip(self.obj[n : n + m], signed))
+        )
+        self.basis = [var + 1 if var >= n else var for var in self.basis]
+        self.columns.append((ints, d, g))
+        self.costs.append(0)
+        self._solve()
+
+    def _solve(self):
+        n = len(self.columns)
+        self.pivots, self.certificate = [], None
+        self._iterate(self.obj, n)
+        if self.obj[-1] < 0:
+            y = [f * (self.den - self.obj[n + i]) for i, f in enumerate(self.flips)]
+            self.status = INFEASIBLE
+            self.certificate = tuple(a // gcd(*y) for a in y)
+            return
+        self._expel_artificials(n)
+        self.status = OPTIMAL
+        if any(self.costs):
+            for entries in self.tableau:
+                del entries[n:-1]
+            cost, _, _ = _dense_primitive(
+                [c * F(d, g) for c, (_, d, g) in zip(self.costs, self.columns)]
+            )
+            obj = [c * self.den for c in cost] + [0]
+            for var, entries in zip(self.basis, self.tableau):
+                obj = [o - cost[var] * a for o, a in zip(obj, entries)]
+            self.status = self._iterate(obj, n)
+
+    def _iterate(self, obj, allowed):
+        while True:
+            enter = next((j for j in range(allowed) if obj[j] < 0), -1)
+            if enter < 0:
+                return OPTIMAL
+            leave = -1
+            for i, entries in enumerate(self.tableau):
+                if entries[enter] > 0:
+                    if leave < 0:
+                        leave = i
+                        continue
+                    best = self.tableau[leave]
+                    lhs = entries[-1] * best[enter]
+                    rhs = best[-1] * entries[enter]
+                    if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leave]):
+                        leave = i
+            if leave < 0:
+                return UNBOUNDED
+            self.pivots.append((leave, enter))
+            self._eliminate([*self.tableau, obj], self.tableau[leave], enter)
+            self.basis[leave] = enter
+
+    def _eliminate(self, rows, pivot_row, col):
+        p, den = pivot_row[col], self.den
+        for other in rows:
+            if other is not pivot_row:
+                factor = other[col]
+                other[:] = [(p * a - factor * b) // den for a, b in zip(other, pivot_row)]
+        self.den = p
+
+    def _expel_artificials(self, n):
+        i = 0
+        while i < len(self.tableau):
+            entries = self.tableau[i]
+            if self.basis[i] < n:
+                i += 1
+                continue
+            col = next((j for j in range(n) if entries[j]), None)
+            if col is None:
+                self.redundant.append(entries[n:-1])
+                del self.tableau[i], self.basis[i]
+                continue
+            if entries[col] < 0:
+                self.den = -self.den
+                for other in self.tableau:
+                    other[:] = [-a for a in other]
+            self._eliminate(self.tableau, entries, col)
+            self.basis[i] = col
+            i += 1
+
+    def answers(self):
+        """What an :class:`LpResult` reports, read off the tableau."""
+        if self.status != OPTIMAL:
+            return self.status, self.certificate, None, None, None, None
+        n = len(self.columns)
+        solution = [F(0)] * n
+        for var, entries in zip(self.basis, self.tableau):
+            _, d, g = self.columns[var]
+            solution[var] = F(entries[-1] * d * self.rhs_g, self.den * g * self.rhs_d)
+        value = sum(c * x for c, x in zip(self.costs, solution))
+        inverse = None
+        if not any(self.costs):
+
+            def unflipped(block):
+                return tuple(a * flip for a, flip in zip(block, self.flips))
+
+            inverse = (
+                tuple(unflipped(entries[n:-1]) for entries in self.tableau),
+                tuple(map(unflipped, self.redundant)),
+            )
+        return self.status, None, tuple(self.basis), inverse, tuple(solution), value
+
+
+def _answers(res):
+    """The fields of ``res`` that :meth:`DenseTableau.answers` gives."""
+    return (
+        res.status, res.certificate, res.basis, res.basis_inverse, res.solution,
+        res.value,
+    )
+
+
+@settings(max_examples=300)
+@given(small_lps(), st.booleans(), st.sampled_from([None, 2, -1]), st.data())
+def test_pivots_and_answers_match_the_dense_tableau(lp, zero_costs, copy, data):
+    # Zero costs stop after phase 1 with the basis inverse to read; a copy
+    # of the first row (scaled, perhaps negated) is dropped as redundant.
+    # Up to three columns are appended by resume while the LP stays
+    # infeasible.
+    costs, rows, rhs = lp
+    if zero_costs:
+        costs = [F(0)] * len(costs)
+    if copy is not None:
+        rows, rhs = [*rows, [copy * a for a in rows[0]]], [*rhs, copy * rhs[0]]
+    dense = DenseTableau(costs, rows, rhs)
+    res, pivots = _recorded(solve_lp, costs, rows, rhs)
+    assert (_answers(res), pivots) == (dense.answers(), dense.pivots)
+    more = data.draw(
+        st.lists(st.lists(rationals, min_size=len(rows), max_size=len(rows)), max_size=3)
+    )
+    for column in more:
+        if res.status != INFEASIBLE:
+            break
+        res, pivots = _recorded(simplex.resume, res, column)
+        dense.resume(column)
+        assert (_answers(res), pivots) == (dense.answers(), dense.pivots)
 
 
 # A cycle-mean piece with cycles of many lengths: a 14-node ring with 16
@@ -466,10 +653,14 @@ def mixed_length_hull(monkeypatch):
         counts["resumes"] += 1
         return simplex.resume(*args)
 
-    def recording_pivot(tableau, obj, basis, row, col, den):
+    def recording_pivot(lp, row, col, column):
+        # The full pivot row: its entry in every structural column, then
+        # its block (the artificial columns and the rhs).
+        entries = lp.rows[row]
+        full = [sum(map(mul, entries, a)) for a, _, _ in lp.columns] + entries
         counts["pivots"] += 1
-        counts["row_bits"].extend(abs(a).bit_length() for a in tableau[row])
-        return pivot(tableau, obj, basis, row, col, den)
+        counts["row_bits"].extend(abs(a).bit_length() for a in full)
+        return pivot(lp, row, col, column)
 
     def counted_rows(vectors):
         counts["conversions"] += 1

@@ -61,6 +61,18 @@ def test_every_traced_name_resolves(tracer):
             assert callable(found), f"{qualified} is traced but not in the program"
 
 
+def _traced_compute(tracer, job) -> dict:
+    """The layer metrics of one traced ``compute`` of the job's model."""
+    traced = tracer.Tracer()
+    traced.install()
+    try:
+        with traced.job():
+            engine.compute(serialize.load_model(job.document))
+    finally:
+        traced.uninstall()
+    return tracer.layer_metrics(traced.spans, traced.counts)
+
+
 @pytest.mark.parametrize(
     ("index", "cycles", "hulls"),
     [
@@ -74,15 +86,7 @@ def test_every_traced_name_resolves(tracer):
 def test_a_traced_compute_records_every_piece_hull_layer(
     tracer, piece_hull_jobs, index, cycles, hulls
 ):
-    job = piece_hull_jobs[index]
-    traced = tracer.Tracer()
-    traced.install()
-    try:
-        with traced.job():
-            engine.compute(serialize.load_model(job.document))
-    finally:
-        traced.uninstall()
-    metrics = tracer.layer_metrics(traced.spans, traced.counts)
+    metrics = _traced_compute(tracer, piece_hull_jobs[index])
     assert metrics["markov.simple_cycles.cycles"] == cycles or (
         cycles is None and metrics["markov.simple_cycles.cycles"] > 0
     )
@@ -91,3 +95,19 @@ def test_a_traced_compute_records_every_piece_hull_layer(
     assert metrics["simplex.pivots"] > 0
     # Uninstalling puts every binding back.
     assert rotaxa.conley.extreme_points is exactgeom.extreme_points
+
+
+@pytest.mark.parametrize(
+    ("index", "lps", "pivots"),
+    # K_8, then the first random piece (random_14_2 at seed 1).  Bland's rule
+    # fixes both counts.  A solver that reached its LPs or pivots other than
+    # through ``solve_lp`` and ``_pivot`` would read 0 here, as it would in
+    # the benchmark.
+    [(0, 16, 104), (1, 45, 395)],
+)
+def test_a_traced_compute_records_every_lp_and_pivot(
+    tracer, piece_hull_jobs, index, lps, pivots
+):
+    metrics = _traced_compute(tracer, piece_hull_jobs[index])
+    assert metrics["simplex.solve_lp.calls"] == lps
+    assert metrics["simplex.pivots"] == pivots
