@@ -11,15 +11,23 @@ a semi-decision: a ``True`` answer means "no counterexample at this grid
 density", while any returned witness is certified by exact LP membership
 failures against every member and is therefore never spurious.  Witnesses
 are deterministic: the lexicographically least failing probe point.
+
+The probe grid is built in integers.  Each vertex row of the hull, scaled
+to the grid, is packed into one integer as signed digits in a base wide
+enough for every grid point, first coordinate most significant, so a grid
+point is one integer sum, and integer order is the points' lexicographic
+order.  The grid is deduplicated and sorted as those integers, and a point
+is decoded to its homogeneous column only when the probe reads it: a probe
+that stops at its witness decodes nothing after it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb, gcd, lcm
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import DimensionMismatchError, ResourceCapError
 from .exactgeom import (
@@ -147,17 +155,59 @@ def star_shape_check(
     return True, None
 
 
-def probe_points(hull: RationalPolytope, density: int) -> list[HomogeneousPoint]:
+class ProbeGrid(Sequence[HomogeneousPoint]):
+    """The points of :func:`probe_points`, held as their sorted packed
+    integers; an index or an iteration decodes a point to its column
+    ``(*point, common)`` only when it reads it."""
+
+    __slots__ = ("_packed", "_shifts", "_half", "_mask", "_offset", "_common")
+
+    def __init__(self, packed: list[int], shifts: range, half: int, common: int):
+        self._packed = packed
+        self._shifts = shifts
+        # Adding ``half`` to every digit makes each one a plain base-2**width
+        # digit in [1, 2 * half), read off by a shift and a mask.
+        self._half, self._mask = half, 2 * half - 1
+        self._offset = sum(half << shift for shift in shifts)
+        self._common = common
+
+    def __len__(self) -> int:
+        return len(self._packed)
+
+    def __getitem__(self, index: int) -> HomogeneousPoint:
+        return self._decode(self._packed[index])
+
+    def __iter__(self) -> Iterator[HomogeneousPoint]:
+        return map(self._decode, self._packed)
+
+    def _decode(self, packed: int) -> HomogeneousPoint:
+        half, mask, packed = self._half, self._mask, packed + self._offset
+        digits = [((packed >> shift) & mask) - half for shift in self._shifts]
+        return HomogeneousPoint((*digits, self._common))
+
+
+def probe_points(hull: RationalPolytope, density: int) -> ProbeGrid:
     """Rational barycentric grid of the hull plus all pairwise vertex midpoints.
 
     The grid of denominator 2 is exactly the vertices and the pairwise
-    midpoints, so the grids of denominators up to ``max(density, 2)`` are
-    taken.  More than :data:`PROBE_CAP` compositions raise
-    :class:`ResourceCapError` before any point is built.  Every grid point
-    times ``common``, the hull's ``integer_vertices`` denominator times
-    each grid denominator, is an integer vector; the points are summed as
-    those, one running total carried down the weights, then deduplicated
-    and sorted, and each is returned as its column ``(*point, common)``.
+    midpoints, so the grids of denominators up to ``top = max(density, 2)``
+    are taken; a denominator that divides a larger one up to ``top`` (every
+    one up to ``top // 2``) adds no point, so only the others are summed.
+    More than :data:`PROBE_CAP` compositions raise :class:`ResourceCapError`
+    before any point is built.  Every grid point times ``common``, the
+    hull's ``integer_vertices`` denominator times ``grid = lcm(1..top)``, is
+    an integer vector ``x``, and ``|x_k| < 2**(width - 1)`` as the point
+    lies in the hull.
+
+    A vector ``x`` packs into the one integer
+    ``sum x_k 2**(width * (dim - 1 - k))``, its coordinates as signed
+    base-``2**width`` digits, the first coordinate most significant.  Packing is linear, so a grid point of
+    denominator ``den`` is one integer sum of ``den`` vertex rows, each
+    packed times ``grid // den``.  With every digit below ``2**(width - 1)``
+    in absolute value, the packing is injective and ordered as the points
+    are, lexicographically, so a ``set`` and ``sorted`` on the integers
+    deduplicate and sort the points.  The result decodes a point only when
+    it is read, so a probe that stops at its witness decodes no later point.
     """
     top = max(density, 2)
     vertex_den, rows = hull.integer_vertices
@@ -171,34 +221,15 @@ def probe_points(hull: RationalPolytope, density: int) -> list[HomogeneousPoint]
             f"({count} at density {top} on {parts} vertices)"
         )
     grid = lcm(*range(1, top + 1))
-    common = vertex_den * grid
-    verts = [tuple(c * grid for c in row) for row in rows]
-    points: set[tuple[int, ...]] = set()
-    for den in range(1, top + 1):
-        _add_grid(points, verts, 0, (0,) * hull.dim, den, den)
-    return [HomogeneousPoint((*point, common)) for point in sorted(points)]
-
-
-def _add_grid(
-    points: set[tuple[int, ...]],
-    verts: list[tuple[int, ...]],
-    index: int,
-    total: Sequence[int],
-    remaining: int,
-    den: int,
-) -> None:
-    """Add ``(total + sum w_i verts[i]) // den`` to ``points`` for every
-    choice of weights ``w_i >= 0`` on ``verts[index:]`` summing to
-    ``remaining``; ``total`` grows by one vertex per step of the loop."""
-    vertex = verts[index]
-    if index == len(verts) - 1:
-        points.add(tuple((t + remaining * c) // den for t, c in zip(total, vertex)))
-        return
-    for _ in range(remaining):
-        _add_grid(points, verts, index + 1, total, remaining, den)
-        total = [t + c for t, c in zip(total, vertex)]
-        remaining -= 1
-    points.add(tuple(t // den for t in total))
+    largest = max((abs(c) for row in rows for c in row), default=0)
+    width = (largest * grid).bit_length() + 1
+    shifts = range(width * (hull.dim - 1), -1, -width)
+    packed = [sum(c << shift for c, shift in zip(row, shifts)) for row in rows]
+    points: set[int] = set()
+    for den in range(top // 2 + 1, top + 1):
+        scaled = [p * (grid // den) for p in packed]
+        points.update(map(sum, combinations_with_replacement(scaled, den)))
+    return ProbeGrid(sorted(points), shifts, 1 << (width - 1), vertex_den * grid)
 
 
 def convexity_probe(

@@ -6,9 +6,10 @@ So a polytope is stored as ``integer_vertices``: integer rows over the
 vertices' least common denominator, sorted and irredundant, so structural
 equality is geometric equality.  Every decision is exact.  ``Fraction``
 vectors meet this form at two edges only: model input, converted once per
-vector (:func:`~rotaxa.simplex.integer_rows`), and output, a polytope's
-``vertices``, built on first read.  In between, a point is its homogeneous
-integer column ``[x·den; den]`` (:class:`HomogeneousPoint`).
+vector (:func:`~rotaxa.simplex.integer_rows`), and a polytope's
+``vertices``, built on first read, which a failed check's report reads (the
+JSON and CSV output format the integer rows directly).  In between, a point
+is its homogeneous integer column ``[x·den; den]`` (:class:`HomogeneousPoint`).
 
 Every exact rank, span and affine-independence question goes through one
 fraction-free integer Gauss-Jordan elimination
@@ -91,8 +92,9 @@ class RationalPolytope:
 
     @cached_property
     def vertices(self) -> tuple[Vector, ...]:
-        """The vertices ``rows / den`` as ``Fraction`` vectors, for output:
-        built on first read, each distinct coordinate once."""
+        """The vertices ``rows / den`` as ``Fraction`` vectors, for a
+        failed check's report and library callers: built on first read,
+        each distinct coordinate once."""
         den, rows = self.integer_vertices
         fractions = {a: Fraction(a, den) for a in set(chain.from_iterable(rows))}
         return tuple(tuple(map(fractions.__getitem__, row)) for row in rows)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -294,7 +295,15 @@ def load_model(source: str | Path | bytes) -> ModelDocument:
 
 
 def polytope_to_json(polytope: RationalPolytope) -> list[list[str]]:
-    return [format_vector(v) for v in polytope.vertices]
+    """The vertices as rational strings, read from ``integer_vertices``:
+    each distinct numerator ``a`` over ``den`` is written once, in lowest
+    terms, so no ``Fraction`` is built."""
+    den, rows = polytope.integer_vertices
+    text = {}
+    for a in set().union(*rows):
+        g = gcd(a, den)
+        text[a] = str(a // g) if g == den else f"{a // g}/{den // g}"
+    return [list(map(text.__getitem__, row)) for row in rows]
 
 
 def outcomes_to_json(outcomes: Sequence[CheckOutcome]) -> dict:
@@ -357,6 +366,6 @@ def blocks_to_csv(computation: Computation) -> str:
     lines = []
     for block in computation.blocks:
         label = block.key.label()
-        for v in block.polytope.vertices:
-            lines.append(",".join([label] + format_vector(v)))
+        for row in polytope_to_json(block.polytope):
+            lines.append(",".join([label, *row]))
     return "\n".join(lines) + ("\n" if lines else "")

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
+import rotaxa.analysis as analysis
 import rotaxa.exactgeom as exactgeom
 import rotaxa.markov as markov
 import rotaxa.simplex as simplex
@@ -313,6 +314,60 @@ class TestStarShape:
         assert all(not contains_point(m, probe) for m in members)
 
 
+def rational_grid(hull, density):
+    """Reference probe grid: every vertex, every pairwise midpoint and every
+    barycentric combination with weights over 1..density, summed as
+    Fractions, then sorted."""
+    verts = hull.vertices
+    expected = set(verts)
+    expected.update(midpoint(u, v) for u, v in combinations(verts, 2))
+    for den in range(1, density + 1):
+        for weights in product(range(den + 1), repeat=len(verts)):
+            if sum(weights) == den:
+                expected.add(tuple(
+                    sum(Fraction(w, den) * v[k] for w, v in zip(weights, verts))
+                    for k in range(hull.dim)
+                ))
+    return sorted(expected)
+
+
+def assert_probe_points_read_the_rational_grid(hull, density):
+    """``probe_points`` holds the reference grid's points, in its order,
+    read by iteration and by index alike."""
+    columns = probe_points(hull, density)
+    expected = rational_grid(hull, density)
+    assert len(columns) == len(expected)
+    items = list(columns)
+    assert items == [columns[i] for i in range(len(columns))]
+    assert all(isinstance(y, HomogeneousPoint) for y in items)
+    assert [tuple(Fraction(a, y[-1]) for a in y[:-1]) for y in items] == expected
+
+
+wide_rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=12)
+
+
+@st.composite
+def probe_hulls(draw):
+    """Up to five rational points in dimension 1 to 4, with magnitudes up to
+    10**6: a single point, points in general position, or points on a line
+    or plane through a drawn point."""
+    dim = draw(st.integers(1, 4))
+    point = st.tuples(*[wide_rationals] * dim)
+    shape = draw(st.sampled_from(["single", "general", "flat"]))
+    if shape == "single":
+        return [draw(point)]
+    if shape == "general":
+        return draw(st.lists(point, min_size=2, max_size=5))
+    base = draw(point)
+    directions = draw(st.lists(point, min_size=1, max_size=max(1, dim - 1)))
+    scalars = st.tuples(*[rationals] * len(directions))
+    return [
+        tuple(b + sum(s * d[k] for s, d in zip(weights, directions))
+              for k, b in enumerate(base))
+        for weights in draw(st.lists(scalars, min_size=1, max_size=5))
+    ]
+
+
 class TestConvexityProbe:
     def test_two_triangles_sharing_origin(self):
         t1 = extreme_points([V(0, 0, 0, 0), V(1, 0, 0, 0), V(1, 1, 0, 0)])
@@ -346,9 +401,6 @@ class TestConvexityProbe:
 
     @pytest.mark.parametrize("density", [1, 2, 3, 4])
     def test_probe_points_equal_rational_grid(self, density):
-        # Reference: every vertex, every pairwise midpoint and every
-        # barycentric combination with weights over 1..density, summed as
-        # Fractions, then sorted.
         hulls = [
             extreme_points([V(0, 0), V("1/2", 0), V(0, "1/3")]),
             extreme_points(
@@ -359,20 +411,37 @@ class TestConvexityProbe:
             ),
         ]
         for hull in hulls:
-            verts = hull.vertices
-            expected = set(verts)
-            expected.update(midpoint(u, v) for u, v in combinations(verts, 2))
-            for den in range(1, density + 1):
-                for weights in product(range(den + 1), repeat=len(verts)):
-                    if sum(weights) == den:
-                        expected.add(tuple(
-                            sum(Fraction(w, den) * v[k] for w, v in zip(weights, verts))
-                            for k in range(hull.dim)
-                        ))
-            columns = probe_points(hull, density)
-            assert all(isinstance(y, HomogeneousPoint) for y in columns)
-            read = [tuple(Fraction(a, y[-1]) for a in y[:-1]) for y in columns]
-            assert read == sorted(expected)
+            assert_probe_points_read_the_rational_grid(hull, density)
+
+    @settings(max_examples=60)
+    @given(probe_hulls(), st.integers(1, 5))
+    def test_probe_points_equal_rational_grid_on_wide_hulls(self, points, density):
+        assert_probe_points_read_the_rational_grid(extreme_points(points), density)
+
+    def test_the_probe_decodes_no_point_past_its_witness(self, monkeypatch):
+        union = [block.polytope for block in compute(exp_family(4)).blocks]
+        grids, decoded = [], []
+        probe_points = analysis.probe_points
+        decode = analysis.ProbeGrid._decode
+
+        def spied_grid(hull, density):
+            grids.append(probe_points(hull, density))
+            return grids[-1]
+
+        def spied_decode(grid, packed):
+            decoded.append(packed)
+            return decode(grid, packed)
+
+        monkeypatch.setattr(analysis, "probe_points", spied_grid)
+        monkeypatch.setattr(analysis.ProbeGrid, "_decode", spied_decode)
+        ok, witness = convexity_probe(union, density=4)
+        assert not ok
+        assert witness == V(0, 0, 0, 0, 0, 0, "1/4", "1/4", 0, 0, 0, 0, 0, 0, 0, 0)
+        [grid] = grids
+        assert len(grid) == 651
+        # The witness is the ninth point; the 642 after it stay packed.
+        assert len(decoded) <= 9
+        assert decoded == grid._packed[: len(decoded)]
 
     def test_density_validation(self, triangle):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 from itertools import chain
 from math import gcd
 
@@ -25,7 +26,7 @@ from rotaxa.exactgeom import (
     homogeneous,
 )
 from rotaxa.fixtures import get_fixture
-from rotaxa.serialize import result_to_dict
+from rotaxa.serialize import blocks_to_csv, polytope_to_json, result_to_dict
 
 BATTERY = (
     "genus2_nonconvex",
@@ -81,6 +82,8 @@ def test_only_model_vectors_are_converted(monkeypatch, name):
 
 @pytest.mark.parametrize("name", BATTERY)
 def test_vertices_are_built_only_for_output(monkeypatch, name):
+    # Only a failed check's report reads the Fraction view; compute, the
+    # passing battery and the JSON and CSV output format the integer rows.
     built = []
     view = RationalPolytope.__dict__["vertices"]
 
@@ -94,8 +97,8 @@ def test_vertices_are_built_only_for_output(monkeypatch, name):
     assert all(outcome.passed for outcome in outcomes)
     assert built == []
     result_to_dict(computation, outcomes)
-    assert built
-    assert all("result_to_dict" in names for names in built)
+    blocks_to_csv(computation)
+    assert built == []
 
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=12)
@@ -138,3 +141,41 @@ class TestOneStoredForm:
         assert "vertices" not in vars(hull)
         assert hull.vertices == ((0, Fraction(1, 3)), (Fraction(1, 2), 0))
         assert "vertices" in vars(hull)
+
+
+@st.composite
+def output_polytopes(draw):
+    """Hulls whose rows hold zeros and negative numerators, over ``den = 1``
+    (integer vertices) or ``den > 1``."""
+    dim = draw(st.integers(1, 3))
+    coordinate = draw(st.sampled_from([rationals, st.integers(-9, 9)]))
+    points = draw(st.lists(st.tuples(*[coordinate] * dim), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        points.append((0,) * dim)
+    return extreme_points([tuple(map(Fraction, p)) for p in points])
+
+
+class TestOutputFromIntegerRows:
+    @settings(max_examples=150)
+    @given(output_polytopes())
+    def test_rows_format_as_the_fraction_view(self, hull):
+        expected = [[str(c) for c in v] for v in hull.vertices]
+        assert polytope_to_json(hull) == expected
+        block = SimpleNamespace(key=SimpleNamespace(label=lambda: "S|a>b"), polytope=hull)
+        csv = blocks_to_csv(SimpleNamespace(blocks=[block, block]))
+        assert csv == "".join(f"S|a>b,{','.join(row)}\n" for row in expected * 2)
+
+    def test_zeros_negatives_and_reduced_numerators(self):
+        hull = RationalPolytope(2, (6, ((-6, 0), (0, 3), (4, -9))))
+        assert polytope_to_json(hull) == [["-1", "0"], ["0", "1/2"], ["2/3", "-3/2"]]
+        assert polytope_to_json(RationalPolytope(1, (1, ((-2,), (0,))))) == [["-2"], ["0"]]
+
+    @pytest.mark.parametrize("name", (*BATTERY, "exp_family(5)"))
+    def test_fixture_blocks_csv_reads_the_fraction_view(self, name):
+        computation = compute(get_fixture(name))
+        expected = "".join(
+            ",".join([block.key.label(), *map(str, v)]) + "\n"
+            for block in computation.blocks
+            for v in block.polytope.vertices
+        )
+        assert blocks_to_csv(computation) == expected

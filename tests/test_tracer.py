@@ -61,13 +61,26 @@ def test_every_traced_name_resolves(tracer):
             assert callable(found), f"{qualified} is traced but not in the program"
 
 
-def _traced_compute(tracer, job) -> dict:
-    """The layer metrics of one traced ``compute`` of the job's model."""
+@pytest.fixture(scope="module")
+def battery_jobs():
+    workloads = _load("workloads")
+    jobs = workloads.build_jobs("battery", workloads.DEFAULT_SEED, rotaxa)
+    return {job.name: job for job in jobs}
+
+
+def _traced_job(tracer, job) -> dict:
+    """The layer metrics of one traced job, run as the benchmark runs it:
+    load, ``compute`` and write the result, then, for a job that checks,
+    its checks and the result with their report."""
     traced = tracer.Tracer()
     traced.install()
     try:
         with traced.job():
-            engine.compute(serialize.load_model(job.document))
+            computation = engine.compute(serialize.load_model(job.document))
+            serialize.result_to_dict(computation)
+            if job.checks is not None:
+                outcomes = engine.run_checks(computation, **job.checks)
+                serialize.result_to_dict(computation, outcomes)
     finally:
         traced.uninstall()
     return tracer.layer_metrics(traced.spans, traced.counts)
@@ -86,7 +99,7 @@ def _traced_compute(tracer, job) -> dict:
 def test_a_traced_compute_records_every_piece_hull_layer(
     tracer, piece_hull_jobs, index, cycles, hulls
 ):
-    metrics = _traced_compute(tracer, piece_hull_jobs[index])
+    metrics = _traced_job(tracer, piece_hull_jobs[index])
     assert metrics["markov.simple_cycles.cycles"] == cycles or (
         cycles is None and metrics["markov.simple_cycles.cycles"] > 0
     )
@@ -108,6 +121,34 @@ def test_a_traced_compute_records_every_piece_hull_layer(
 def test_a_traced_compute_records_every_lp_and_pivot(
     tracer, piece_hull_jobs, index, lps, pivots
 ):
-    metrics = _traced_compute(tracer, piece_hull_jobs[index])
+    metrics = _traced_job(tracer, piece_hull_jobs[index])
     assert metrics["simplex.solve_lp.calls"] == lps
     assert metrics["simplex.pivots"] == pivots
+
+
+@pytest.mark.parametrize(
+    ("fixture", "points", "contains", "lps", "pivots", "segments"),
+    # Summed over the five jobs: 1,220 probe points, 239 membership tests,
+    # 26 LPs, 61 pivots and 106 star segments.  A probe grid that reached
+    # its points other than through ``probe_points``, or a check that
+    # bypassed a traced function, would read 0 here, as in the benchmark.
+    [
+        ("genus2_nonconvex", 100, 47, 2, 6, 11),
+        ("genus2_full", 100, 101, 2, 6, 15),
+        ("genus2_blocks", 82, 37, 8, 21, 14),
+        ("exp_family(3)", 287, 23, 6, 12, 25),
+        ("exp_family(4)", 651, 31, 8, 16, 41),
+    ],
+)
+def test_a_traced_default_check_records_every_battery_layer(
+    tracer, battery_jobs, fixture, points, contains, lps, pivots, segments
+):
+    job = battery_jobs[f"battery/{fixture}"]
+    assert job.checks == {}
+    metrics = _traced_job(tracer, job)
+    assert metrics["analysis.convexity_probe.calls"] == 1
+    assert metrics["analysis.convexity_probe.points"] == points
+    assert metrics["exactgeom.contains_point.calls"] == contains
+    assert metrics["simplex.solve_lp.calls"] == lps
+    assert metrics["simplex.pivots"] == pivots
+    assert metrics["analysis.star_shape_check.segments"] == segments
