@@ -216,7 +216,11 @@ class Membership(NamedTuple):
     lp: LpResult
 
 
-def hull_membership(columns: Sequence[Sequence[int]], y: Sequence[int]) -> Membership:
+def hull_membership(
+    columns: Sequence[Sequence[int]],
+    y: Sequence[int],
+    start: LpResult | None = None,
+) -> Membership:
     """Decide ``x in conv(points)`` exactly, by one feasibility LP.
 
     Each point ``p``, and ``x``, is given as a homogeneous integer column
@@ -224,7 +228,9 @@ def hull_membership(columns: Sequence[Sequence[int]], y: Sequence[int]) -> Membe
     ``integer_vertices`` or :func:`homogeneous` give them); a positive
     multiple of a column is the same point, and the LP takes the same
     pivots.  The columns may also be given made primitive already
-    (:class:`~rotaxa.simplex.Columns`), as the LPs of one hull share them.
+    (:class:`~rotaxa.simplex.Columns`), as the LPs of one hull share them,
+    and the LP may start from the basis of an earlier membership LP over a
+    prefix of them (``start``, see :func:`~rotaxa.simplex.solve_lp`).
     On membership the separation is ``None``.  On failure it is
     ``(c, c0)``, integers, where the functional satisfies ``c . p <= c0``
     for every hull point and ``c . x > c0`` — an LP-certified separation.
@@ -233,7 +239,7 @@ def hull_membership(columns: Sequence[Sequence[int]], y: Sequence[int]) -> Membe
         _check_uniform([*columns, y])
         columns = Columns(map(primitive, columns))
     dim = len(y) - 1
-    res = solve_lp([0] * len(columns), columns, y)
+    res = solve_lp([0] * len(columns), columns, y, start)
     if res.status == OPTIMAL:
         return Membership(True, None, res)
     certificate = res.certificate
@@ -327,7 +333,12 @@ def extreme_points(
     for the rest of the call, and each later candidate is first tested
     against them, newest and most recently hit first, by integer sign
     tests; one that lies in a witness simplex lies in the hull of other
-    points and is decided as inside with no LP.
+    points and is decided as inside with no LP.  Once some witness LP's
+    basis has kept all ``dim + 1`` rows, each later LP starts from the
+    newest such basis, not from the artificial basis: its columns are a
+    prefix of ``inner``, so phase 1 is a dual simplex from there (see
+    :mod:`rotaxa.simplex`), ending at a new witness or at a separating
+    functional, and resumed in the same way.
 
     Every verdict is backed by an exact certificate (an elimination, an
     exposing functional or a witness simplex), and the routine is
@@ -373,6 +384,8 @@ def extreme_points(
     may_reach = [True] * n
     may_reach[0] = may_reach[-1] = False
     witnesses: list[SimplexKernel] = []
+    # The newest witness LP whose basis kept all dim + 1 rows.
+    start = None
 
     for idx in range(n):
         if decided[idx]:
@@ -385,7 +398,7 @@ def extreme_points(
             witnesses.insert(0, witnesses.pop(hit))
             continue
         # Column j of the LP is inner[j], resumed ones included.
-        lp = hull_membership(inner, y).lp
+        lp = hull_membership(inner, y, start).lp
         while lp.status == INFEASIBLE:
             c = lp.certificate[:dim]  # type: ignore[index]
             top = _dot(c, ints[idx])
@@ -409,6 +422,8 @@ def extreme_points(
             lp = resume(lp, inner[-1])
         else:
             witnesses.insert(0, _witness_kernel(lp))
+            if len(lp.basis) > dim:
+                start = lp
 
     keep = [i for i in range(n) if is_vertex[i]]
     exposed = tuple(exposing[i] for i in keep)
@@ -538,7 +553,8 @@ def _segment_interval_lp(
     b: Vector | HomogeneousPoint,
 ) -> tuple[Fraction, Fraction] | None:
     """:func:`segment_interval` by one minimizing and one maximizing LP over
-    the joint (weights, t) system; valid for every polytope."""
+    the joint (weights, t) system; valid for every polytope.  The
+    maximizing LP starts its phase 2 from the minimizing LP's basis."""
     a, b = homogeneous(a), homogeneous(b)
     if a[-1] != b[-1]:
         a, b = [p * b[-1] for p in a], [q * a[-1] for q in b]
@@ -557,7 +573,7 @@ def _segment_interval_lp(
     if low.status == INFEASIBLE:
         return None
     cost_high = [0] * n + [-1, 0]
-    high = solve_lp(cost_high, rows, rhs)
+    high = solve_lp(cost_high, rows, rhs, low)
     assert low.status == OPTIMAL and high.status == OPTIMAL
     assert low.value is not None and high.value is not None
     return low.value, -high.value

@@ -1,8 +1,9 @@
 """Exact linear programming by a revised, integer-preserving simplex method.
 
-A two-phase primal simplex with no floating point anywhere: every pivot is
+A two-phase simplex method with no floating point anywhere: every pivot is
 exact, so feasibility and optimality answers are decisions, not
-approximations.
+approximations.  Phase 1 is primal from the artificial basis, or dual from
+the basis of an earlier LP (a warm start, below).
 
 Problems are stated in equality standard form::
 
@@ -69,10 +70,36 @@ column's included, and the objective value ``y . b'`` is positive: ``y F``
 is again a Farkas certificate for the enlarged LP.  Otherwise the LP is
 feasible and goes on to phase 2 as usual.
 
-A feasible LP whose costs are all 0 stops after phase 1, so its basis
-inverse is there to read (:attr:`LpResult.basis_inverse`): row ``i`` of
-``D B^-1 F`` is positive on the ``i``-th basic column and 0 on the others.
-A row that phase 1 drops as redundant is 0 on every structural column; its
+An LP can also start warm, from the final basis ``B`` of an earlier
+optimal LP over a prefix of its columns that kept every row (``start`` of
+:func:`solve_lp`), with any rhs and costs.  The block rows act on
+unflipped columns, and so on an unflipped rhs too: each row ``R`` is kept,
+with ``R . b`` in its rhs slot for the new primitive rhs ``b``, and the
+columns past the prefix are nonbasic.  ``B`` need not be feasible for
+``b``, but with the costs read as 0 every basis is dual feasible, so phase
+1 is the dual simplex method under Bland's rule: the row with a negative
+rhs and the smallest basic index leaves, and the smallest-index column
+negative in that row enters.  The row is negated first, so the pivot, and
+the new ``D``, are positive, and the objective row is not kept.  Every
+reduced cost is 0, so every such column ties in the dual ratio test and
+the smallest index breaks the tie: this is Bland's rule on the dual LP,
+which cannot cycle (Bland 1977), so phase 1 ends.  Either every rhs entry
+is non-negative, a feasible basis, or the leaving row ``R`` is
+non-negative on every column: then ``R . b < 0``, so ``y = -R`` has
+``y . A_j <= 0`` for every column and ``y . b > 0``, a Farkas certificate
+of the usual form.  :func:`resume` appends a column to such an LP and goes
+on from ``B`` the same way: the rhs is as it was, so the same row leaves,
+and the new column is the only one that can be negative in it.  An LP
+that dropped a row as redundant is no start: its basis is too small for a
+column outside the span of its own, so phase 1 then starts from the
+artificial basis.  Phase 2 goes on from the feasible basis as usual, so an
+LP with the rows and rhs of an optimal one, and other costs, starts its
+phase 2 where that one ended.
+
+A feasible LP whose costs are all 0 stops after phase 1, cold or warm, so
+its basis inverse is there to read (:attr:`LpResult.basis_inverse`): row
+``i`` of ``D B^-1 F`` is positive on the ``i``-th basic column and 0 on
+the others.  A row that phase 1 drops as redundant is 0 on every structural column; its
 block is kept as it stood, a functional that vanishes on every column.  The
 geometry layer reads a witness simplex's barycentric and affine rows from
 these, with no elimination of its own.
@@ -124,7 +151,7 @@ class _Lp:
         self.columns = columns  # a Column for each structural column
         self.rhs_d, self.rhs_g = rhs_d, rhs_g
         self.rows = rows
-        self.obj = obj
+        self.obj = obj  # None on a warm LP, whose phase 1 has no costs
         self.basis = basis
         self.den = 1
         # A weak reference (no cycle) to the infeasible result resume takes.
@@ -240,11 +267,15 @@ def solve_lp(
     costs: Sequence[Fraction],
     rows: Sequence[Sequence[Fraction]] | Columns,
     rhs: Sequence[Fraction],
+    start: LpResult | None = None,
 ) -> LpResult:
     """Minimize ``costs . x`` subject to ``rows @ x == rhs`` and ``x >= 0``.
 
     Entries may be ints or Fractions.  The rows may also be given by their
-    columns, already primitive (:class:`Columns`).
+    columns, already primitive (:class:`Columns`).  ``start``, an optimal
+    result over a prefix of the same columns, is the basis phase 1 starts
+    from if it kept all its rows (see the module docstring); otherwise
+    phase 1 starts from the artificial basis.
     """
     m = len(rhs)
     if isinstance(rows, Columns):
@@ -255,9 +286,16 @@ def solve_lp(
         columns = [primitive([row[j] for row in rows]) for j in range(len(costs))]
     if len(columns) != len(costs) or any(len(a.ints) != m for a in columns):
         raise ValueError("inconsistent LP dimensions")
+    int_rhs, rhs_d, rhs_g = primitive(rhs)
+    if start is not None and _warm_start(start, columns, m):
+        # The rows of the start's block, with R . b in their rhs slots.
+        block = [[*R[:-1], sum(map(mul, R, int_rhs))] for R in start._lp.rows]
+        basis = list(start.basis)
+        lp = _Lp(list(costs), columns, rhs_d, rhs_g, block, None, basis)
+        lp.den = start._lp.den
+        return _solve(lp)
     # Phase 1 starts from the artificial basis: the block is F, beside b'.
     # Its objective row is -F (y = 1), with -sum(b') in the rhs slot.
-    int_rhs, rhs_d, rhs_g = primitive(rhs)
     block = []
     for i, beta in enumerate(int_rhs):
         entries = [0] * m + [abs(beta)]
@@ -284,7 +322,7 @@ def resume(result: LpResult, column: Sequence[Fraction] | Column) -> LpResult:
     lp.latest = None
     if not isinstance(column, Column):
         column = primitive(column)
-    if len(column.ints) != len(lp.obj) - 1:
+    if len(column.ints) != len(lp.rows[0]) - 1:
         raise ValueError("inconsistent LP dimensions")
     # The artificial variables stay numbered after the structural ones.
     n = len(lp.columns)
@@ -294,25 +332,35 @@ def resume(result: LpResult, column: Sequence[Fraction] | Column) -> LpResult:
     return _solve(lp)
 
 
-def _solve(lp: _Lp) -> LpResult:
-    """Phase 1 from the LP's current basis, then phase 2."""
-    if _iterate(lp) == UNBOUNDED:  # pragma: no cover - phase 1 is bounded
-        raise AssertionError("phase 1 cannot be unbounded")
-    if lp.obj[-1] < 0:
-        y = [-a for a in lp.obj[:-1]]
-        g = gcd(*y)
-        result = LpResult(INFEASIBLE, tuple(a // g for a in y), lp)
-        lp.latest = ref(result)
-        return result
+def _warm_start(start: LpResult, columns: list[Column], m: int) -> bool:
+    """Whether ``start`` is a basis to start from: an optimal LP over a
+    prefix of ``columns`` that kept all ``m`` rows."""
+    old = start._lp
+    if start.status != OPTIMAL or columns[: len(old.columns)] != old.columns:
+        raise ValueError("a start must be optimal over a prefix of the columns")
+    return len(old.basis) == m
 
-    _expel_artificials(lp)
+
+def _solve(lp: _Lp) -> LpResult:
+    """Phase 1 from the LP's current basis (by the dual method on a warm
+    LP), then phase 2."""
+    if lp.obj is None:
+        blocking = _dual(lp)
+        if blocking is not None:
+            return _infeasible(lp, [-a for a in blocking[:-1]])
+    else:
+        if _iterate(lp) == UNBOUNDED:  # pragma: no cover - phase 1 is bounded
+            raise AssertionError("phase 1 cannot be unbounded")
+        if lp.obj[-1] < 0:
+            return _infeasible(lp, [-a for a in lp.obj[:-1]])
+        _expel_artificials(lp)
     if any(lp.costs):
         # Phase 2 costs of the scaled variables, times a positive integer.
         scaled = zip(lp.costs, lp.columns)
         cost = primitive(
             [c * Fraction(d, g) if c else 0 for c, (_, d, g) in scaled]
         ).ints
-        obj = [0] * len(lp.obj)
+        obj = [0] * (len(lp.columns[0].ints) + 1)
         for var, entries in zip(lp.basis, lp.rows):
             c = cost[var]
             if c:
@@ -321,6 +369,15 @@ def _solve(lp: _Lp) -> LpResult:
         if _iterate(lp, cost) == UNBOUNDED:
             return LpResult(UNBOUNDED)
     return LpResult(OPTIMAL, _lp=lp)
+
+
+def _infeasible(lp: _Lp, y: list[int]) -> LpResult:
+    """The resumable result of an infeasible LP whose certificate is a
+    positive multiple of ``y``."""
+    g = gcd(*y)
+    result = LpResult(INFEASIBLE, tuple(a // g for a in y), lp)
+    lp.latest = ref(result)
+    return result
 
 
 def primitive(values: Sequence) -> Column:
@@ -375,11 +432,34 @@ def _iterate(lp: _Lp, cost: Sequence[int] = ()) -> str:
         _pivot(lp, leave, enter, column)
 
 
+def _dual(lp: _Lp) -> list[int] | None:
+    """Bland's dual simplex on a warm LP, whose costs read as 0 here: pivots
+    until every rhs entry is non-negative (``None``), or until the leaving
+    row is non-negative on every column (that row is returned)."""
+    columns, rows, basis = lp.columns, lp.rows, lp.basis
+    while True:
+        negative = [i for i, entries in enumerate(rows) if entries[-1] < 0]
+        if not negative:
+            return None
+        leave = min(negative, key=basis.__getitem__)
+        top = rows[leave]
+        for enter, (a, _, _) in enumerate(columns):
+            if sum(map(mul, top, a)) < 0:
+                break
+        else:
+            return top
+        # Negated, the row is positive in the entering column, and so is
+        # the new denominator.  The objective row is not eliminated.
+        top[:] = [-a for a in top]
+        _pivot(lp, leave, enter, [sum(map(mul, entries, a)) for entries in rows])
+
+
 def _pivot(lp: _Lp, row: int, col: int, column: list[int]) -> None:
     """One Bland pivot: column ``col`` enters the basis at ``row``.
 
     ``column`` holds its entry in each row of the block, positive at
-    ``row``, and then its reduced cost.
+    ``row``, and then its reduced cost, which a warm LP's dual pivot leaves
+    out: its objective row is not kept.
     """
     lp.den = _eliminate([*lp.rows, lp.obj], column, row, lp.den)
     lp.basis[row] = col

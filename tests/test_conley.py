@@ -260,10 +260,10 @@ class TestBlocks:
         decisions = []
         membership = exactgeom.hull_membership
 
-        def counted(columns, y):
+        def counted(columns, y, *start):
             if tuple(y) == origin:
                 decisions.append(len(columns))
-            return membership(columns, y)
+            return membership(columns, y, *start)
 
         monkeypatch.setattr(exactgeom, "hull_membership", counted)
         computation = compute(model)

@@ -206,6 +206,57 @@ class TestExtremePointsOracle:
         assert used["resumes"] > 0 and used["witness_hits"] > 0
 
 
+@st.composite
+def mixed_sets(draw):
+    """Points in dimension 1 to 5: integer corners and convex combinations
+    of them, some divided by a small integer of their own, so over mixed
+    denominators; then repeats, in any order.  Sometimes the set is mapped
+    into a subspace of lower dimension by a random integer matrix."""
+    dim = draw(st.integers(1, 5))
+    small = st.integers(-3, 3)
+    corners = draw(st.lists(st.tuples(*[small] * dim), min_size=2, max_size=dim + 4))
+    points = []
+    for _ in range(draw(st.integers(2, 16))):
+        chosen = draw(st.lists(st.sampled_from(corners), min_size=1, max_size=3))
+        weights = [draw(st.integers(1, 3)) for _ in chosen]
+        total = sum(weights) * draw(st.sampled_from([1, 1, 2, 3]))
+        points.append(tuple(
+            Fraction(sum(w * corner[k] for w, corner in zip(weights, chosen)), total)
+            for k in range(dim)
+        ))
+    points += draw(st.lists(st.sampled_from(points), max_size=4))
+    rank = draw(st.integers(0, dim))
+    if rank < dim:
+        matrix = [[draw(small) for _ in range(rank)] for _ in range(dim)]
+        points = [
+            tuple(sum((a * b for a, b in zip(row, p[:rank])), Fraction(0)) for row in matrix)
+            for p in points
+        ]
+    return draw(st.permutations(points))
+
+
+class TestWarmHullLps:
+    def test_vertices_match_one_lp_per_point(self):
+        # Counted over all examples, so that the warm path cannot go untested.
+        warm = [0]
+        solve = exactgeom.solve_lp
+
+        def counted(*args):
+            warm[0] += len(args) > 3 and args[3] is not None
+            return solve(*args)
+
+        @settings(max_examples=200)
+        @given(mixed_sets())
+        def check(points):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(exactgeom, "solve_lp", counted)
+                hull = extreme_points(points)
+            assert hull.vertices == brute_vertices(points)
+
+        check()
+        assert warm[0] > 0
+
+
 def exposes(functional, vertex, points):
     """Whether ``vertex`` alone maximizes the integer functional over the
     points, decided in Fractions."""
@@ -320,9 +371,9 @@ class TestVertexFunctionals:
         lps = []
         membership = exactgeom.hull_membership
 
-        def counted(columns, y):
+        def counted(columns, y, *start):
             lps.append(tuple(y))
-            return membership(columns, y)
+            return membership(columns, y, *start)
 
         monkeypatch.setattr(exactgeom, "hull_membership", counted)
         hull = hull_of_union([polygon], [V(0, 0)])
@@ -338,9 +389,9 @@ class TestVertexFunctionals:
         lps = []
         membership = exactgeom.hull_membership
 
-        def counted(columns, y):
+        def counted(columns, y, *start):
             lps.append(tuple(y))
-            return membership(columns, y)
+            return membership(columns, y, *start)
 
         monkeypatch.setattr(exactgeom, "hull_membership", counted)
         hull = extreme_points(

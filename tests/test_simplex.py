@@ -258,13 +258,15 @@ def test_only_the_latest_infeasible_result_resumes():
 
 # Bland's rule fixes the pivot sequence, so the number of pivots on a fixed
 # input is a property of the input.  A change to the kernel that alters the
-# pivot order shows here: reversing the leaving-row tie-break moves the hull
-# count from 31 to 26 and the segment count from 24 to 19.  The hull count
-# also depends on which LPs extreme_points asks for, and on how many it
-# resumes or skips: 100 pivots when every LP started from the artificial
-# basis.  The 27-point grid on a
-# box with mixed denominators makes many ratio ties, so the leaving-row
-# tie-break matters.
+# pivot order shows here: reversing the leaving-row tie-break moves the
+# segment count from 18 to 14.  The hull count also depends on which LPs
+# extreme_points asks for, and on how many it resumes, skips or starts
+# from a witness basis: 31 pivots when every LP started from the artificial
+# basis but was resumed, 100 when none was resumed either.  The segment
+# count is 18 because its maximizing LP starts phase 2 from the minimizing
+# LP's basis; solved from the artificial basis too, it repeated that LP's
+# 10 opening pivots (24).  The 27-point grid on a box with mixed
+# denominators makes many ratio ties, so the leaving-row tie-break matters.
 PINNED_POINTS = [
     (F(x, 2), F(y), F(z, 3))
     for x in range(-1, 2)
@@ -289,7 +291,7 @@ def pivot_count(monkeypatch):
 def test_extreme_points_pivot_count_is_pinned(pivot_count):
     hull = extreme_points(PINNED_POINTS)
     assert len(hull.vertices) == 8
-    assert pivot_count[0] == 31
+    assert pivot_count[0] == 15
 
 
 def test_hull_lps_build_no_solution_fractions(monkeypatch):
@@ -318,7 +320,7 @@ def test_segment_interval_pivot_count_is_pinned(pivot_count):
     a = (F(0), F(-2), F(0))
     b = (F(0), F(2), F(0))
     assert segment_interval(hull, a, b) == (F(1, 4), F(3, 4))
-    assert pivot_count[0] == 24
+    assert pivot_count[0] == 18
 
 
 def _prime_factors(n):
@@ -611,9 +613,12 @@ def test_pivots_and_answers_match_the_dense_tableau(lp, zero_costs, copy, data):
 
 # A cycle-mean piece with cycles of many lengths: a 14-node ring with 16
 # chords, as in the benchmark's random pieces.  Its 35 hull vertices cost
-# 49 LPs, 23 resumes of them and 401 pivots, and Bland's rule fixes all
-# three counts.  Solving every LP from the artificial basis took 123 LPs and
-# 935 pivots.
+# 49 LPs, 23 resumes of them and 242 pivots, and Bland's rule fixes all
+# three counts (primal and dual: the dual's leaving row taken in row order
+# instead of by basic index gives 48, 23 and 259, and its entering column
+# taken as the last negative one cycles).  Starting each LP from the
+# artificial basis took 49 LPs and 401 pivots; solving each from there,
+# with no resume, took 123 LPs and 935 pivots.
 MIXED_LENGTH_NODES = {
     "r00": (-2, -2, 2, -3), "r01": (-3, -3, -3, -3), "r02": (-3, 2, -3, -1),
     "r03": (-1, -2, 3, -2), "r04": (2, -2, 1, 2), "r05": (-3, 0, 1, -3),
@@ -678,7 +683,7 @@ def mixed_length_hull(monkeypatch):
 
 def test_cycle_mean_hull_lp_and_pivot_counts_are_pinned(mixed_length_hull):
     counts = mixed_length_hull
-    assert (counts["lps"], counts["resumes"], counts["pivots"]) == (49, 23, 401)
+    assert (counts["lps"], counts["resumes"], counts["pivots"]) == (49, 23, 242)
 
 
 def test_cycle_mean_hull_lps_read_small_integer_columns(mixed_length_hull):
@@ -694,8 +699,8 @@ def test_cycle_mean_hull_lps_read_small_integer_columns(mixed_length_hull):
 
 def test_witness_simplex_tests_are_pinned():
     # Witness simplices are tested newest first, and a hit moves to the
-    # front; scanned oldest first, the mixed-length piece took 1,428 kernel
-    # tests instead of 1,115.  The LPs, and so the pins above, are the same.
+    # front; scanned oldest first, the mixed-length piece took 1,456 kernel
+    # tests instead of 1,151.  The LPs, and so the pins above, are the same.
     piece = BasicPieceModel(
         id="P",
         classification="curved",
@@ -712,7 +717,7 @@ def test_witness_simplex_tests_are_pinned():
         patch.setattr(exactgeom.SimplexKernel, "contains", counted)
         hull = piece_rotation_set(piece)
     assert len(hull.vertices) == 35
-    assert tests[0] == 1115
+    assert tests[0] == 1151
 
 
 def _rank(rows):
@@ -761,3 +766,178 @@ def test_basis_inverse_of_a_feasibility_lp(lp, duplicate):
 def test_basis_inverse_needs_zero_costs_and_feasibility():
     assert solve_lp([F(1), F(0)], [[F(1), F(1)]], [F(3)]).basis_inverse is None
     assert solve_lp([F(0)], [[F(1)]], [F(-1)]).basis_inverse is None
+
+
+# Warm starts: an LP that starts from the final basis of an earlier optimal
+# LP over a prefix of its columns must answer as a cold one does.
+nonnegative = st.builds(F, st.integers(0, 4), st.sampled_from([1, 2, 3]))
+
+
+@st.composite
+def warm_starts(draw):
+    """An optimal LP to start from (feasible by construction, its costs
+    non-negative), and a second LP over its columns and up to two more,
+    with zero costs or costs of its own, and the start's rhs or a new one;
+    then up to two columns to resume it with."""
+    _, rows, _ = draw(small_lps())
+    m, n = len(rows), len(rows[0])
+    x = draw(st.lists(nonnegative, min_size=n, max_size=n))
+    rhs = [_dot(row, x) for row in rows]
+    if draw(st.booleans()):
+        rows, rhs = [*rows, [2 * a for a in rows[0]]], [*rhs, 2 * rhs[0]]
+        m += 1
+    start_costs = draw(
+        st.just([F(0)] * n) | st.lists(nonnegative, min_size=n, max_size=n)
+    )
+    column = st.lists(rationals, min_size=m, max_size=m)
+    extra = draw(st.lists(column, max_size=2))
+    more = draw(st.lists(column, max_size=2))
+    width = n + len(extra)
+    costs = draw(
+        st.just([F(0)] * width) | st.lists(rationals, min_size=width, max_size=width)
+    )
+    new_rhs = draw(st.just(rhs) | column)
+    full = [[*row, *(c[i] for c in extra)] for i, row in enumerate(rows)]
+    return (start_costs, rows, rhs), (costs, full, new_rhs), more
+
+
+def _assert_answers(res, costs, rows, rhs):
+    """``res`` is a valid answer to the LP: a feasible solution of the cold
+    solve's value, with a witness basis when the costs are 0, or a Farkas
+    certificate."""
+    cold = solve_lp(costs, rows, rhs)
+    assert res.status == cold.status
+    columns = [[row[j] for row in rows] for j in range(len(costs))]
+    if res.status == OPTIMAL:
+        x = res.solution
+        assert all(xj >= 0 for xj in x)
+        assert all(_dot(row, x) == beta for row, beta in zip(rows, rhs))
+        assert res.value == cold.value == _dot(costs, x)
+        if not any(costs):
+            inverse, redundant = res.basis_inverse
+            for i, functional in enumerate(inverse):
+                assert _dot(functional, rhs) >= 0
+                for k, var in enumerate(res.basis):
+                    value = _dot(functional, columns[var])
+                    assert value > 0 if k == i else value == 0
+            assert all(_dot(functional, rhs) == 0 for functional in redundant)
+    elif res.status == INFEASIBLE:
+        y = res.certificate
+        assert all(type(a) is int for a in y) and gcd(*y) == 1
+        assert all(_dot(y, column) <= 0 for column in columns)
+        assert _dot(y, rhs) > 0
+
+
+@settings(max_examples=300)
+@given(warm_starts())
+def test_a_warm_lp_agrees_with_a_cold_one(case):
+    (start_costs, start_rows, start_rhs), (costs, rows, rhs), more = case
+    start = solve_lp(start_costs, start_rows, start_rhs)
+    assert start.status == OPTIMAL
+    res = solve_lp(costs, rows, rhs, start)
+    _assert_answers(res, costs, rows, rhs)
+    for column in more:
+        if res.status != INFEASIBLE:
+            break
+        res = simplex.resume(res, column)
+        costs = [*costs, F(0)]
+        rows = [[*row, a] for row, a in zip(rows, column)]
+        _assert_answers(res, costs, rows, rhs)
+
+
+def test_a_start_that_dropped_a_row_is_not_used(monkeypatch):
+    # x + y = 1 twice over: the copy is dropped, so the basis has one row
+    # and no room for the column (1, 3), which the LP then needs.
+    rows = [[F(1), F(1)], [F(2), F(2)]]
+    start = solve_lp([F(0)] * 2, rows, [F(1), F(2)])
+    assert start.basis_inverse[1]
+    wider = [[*rows[0], F(1)], [*rows[1], F(3)]]
+    res, pivots = _recorded(solve_lp, [F(0)] * 3, wider, [F(1), F(3)], start)
+    assert res.status == OPTIMAL and res.solution == (0, 0, 1)
+    assert pivots == _recorded(solve_lp, [F(0)] * 3, wider, [F(1), F(3)])[1]
+
+
+def test_a_start_must_be_optimal_over_a_prefix():
+    rows = [[F(1), F(1)]]
+    start = solve_lp([F(0)] * 2, rows, [F(1)])
+    with pytest.raises(ValueError):
+        solve_lp([F(0)] * 2, [[F(1), F(2)]], [F(1)], start)
+    with pytest.raises(ValueError):
+        solve_lp([F(0)], [[F(1)]], [F(1)], start)
+    infeasible = solve_lp([F(0)] * 2, rows, [F(-1)])
+    with pytest.raises(ValueError):
+        solve_lp([F(0)] * 2, rows, [F(1)], infeasible)
+
+
+def _point_columns(dim):
+    """Homogeneous integer columns ``[x·d; d]`` of points of Q^dim, each
+    over a denominator of its own."""
+    return st.builds(
+        lambda xs, d: (*xs, d),
+        st.lists(st.integers(-6, 6), min_size=dim, max_size=dim),
+        st.integers(1, 4),
+    )
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 5), st.data())
+def test_a_warm_membership_lp_agrees_with_a_cold_one(dim, data):
+    # The start decides a positive combination of some of the points, so it
+    # is a witness; the warm LP adds points and decides another one, then
+    # resumes with more points while it stays infeasible.
+    points = data.draw(st.lists(_point_columns(dim), min_size=1, max_size=dim + 4))
+    weights = data.draw(
+        st.lists(st.integers(0, 3), min_size=len(points), max_size=len(points))
+    )
+    weights[0] += 1
+    inside = [sum(w * p[i] for w, p in zip(weights, points)) for i in range(dim + 1)]
+    start = exactgeom.hull_membership(points, inside).lp
+    assert start.status == OPTIMAL
+    extra = data.draw(st.lists(_point_columns(dim), max_size=3))
+    more = data.draw(st.lists(_point_columns(dim), max_size=3))
+    y = data.draw(_point_columns(dim))
+    columns = simplex.Columns(map(simplex.primitive, [*points, *extra]))
+    lp = exactgeom.hull_membership(columns, y, start).lp
+    while True:
+        cold = exactgeom.hull_membership([*points, *extra], y)
+        assert (lp.status == OPTIMAL) == cold.member
+        if lp.status == OPTIMAL:
+            kernel = exactgeom._witness_kernel(lp)
+            assert kernel.contains(y)
+            basic = [[*points, *extra][var] for var in lp.basis]
+            assert all(map(kernel.contains, basic))
+            break
+        assert all(_dot(lp.certificate, p) <= 0 for p in [*points, *extra])
+        assert _dot(lp.certificate, y) > 0
+        if not more:
+            break
+        extra.append(more.pop())
+        lp = simplex.resume(lp, extra[-1])
+
+
+def test_warm_lps_go_through_solve_lp_and_pivot(monkeypatch):
+    # The hull's warm LPs, and the segment's maximizing LP, are solve_lp
+    # calls with a start, and their dual pivots are _pivot calls: the
+    # benchmark's tracer counts LPs and pivots by these two names.
+    calls, pivots = [], [0]
+    solve, pivot = solve_lp, simplex._pivot
+
+    def counted_solve(*args):
+        before = pivots[0]
+        res = solve(*args)
+        calls.append((len(args) > 3 and args[3] is not None, pivots[0] - before))
+        return res
+
+    def counted_pivot(*args):
+        pivots[0] += 1
+        return pivot(*args)
+
+    monkeypatch.setattr(exactgeom, "solve_lp", counted_solve)
+    monkeypatch.setattr(simplex, "_pivot", counted_pivot)
+    hull = extreme_points(PINNED_POINTS)
+    warm = [taken for is_warm, taken in calls if is_warm]
+    assert len(warm) > 0 and sum(warm) > 0
+    assert pivots[0] == 15
+    calls.clear()
+    segment_interval(hull, (F(0), F(-2), F(0)), (F(0), F(2), F(0)))
+    assert [is_warm for is_warm, _ in calls] == [False, True]

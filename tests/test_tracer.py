@@ -116,7 +116,7 @@ def test_a_traced_compute_records_every_piece_hull_layer(
     # fixes both counts.  A solver that reached its LPs or pivots other than
     # through ``solve_lp`` and ``_pivot`` would read 0 here, as it would in
     # the benchmark.
-    [(0, 16, 104), (1, 45, 395)],
+    [(0, 13, 40), (1, 48, 238)],
 )
 def test_a_traced_compute_records_every_lp_and_pivot(
     tracer, piece_hull_jobs, index, lps, pivots
