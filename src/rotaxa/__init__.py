@@ -63,7 +63,7 @@ from .markov import (
     word_rotation_vector,
 )
 from .model import ModelDocument, validate_model
-from .oracle import Lcg64, oracle_piece_set, sample_chain_averages
+from .oracle import oracle_piece_set, sample_chain_averages
 from .serialize import load_model, model_from_dict, model_to_dict, result_to_dict
 
 __all__ = [
@@ -76,7 +76,6 @@ __all__ = [
     "EngineError",
     "HeteroclinicPoset",
     "InadmissibleWordError",
-    "Lcg64",
     "MarkedSupport",
     "MarkovGraph",
     "ModelDocument",

@@ -13,7 +13,8 @@ is its homogeneous integer column ``[x·den; den]`` (:class:`HomogeneousPoint`).
 
 Every exact rank, span and affine-independence question goes through one
 fraction-free integer Gauss-Jordan elimination
-(:func:`~rotaxa.kernel._eliminate`, after Bareiss 1968).  A polytope whose
+(:func:`~rotaxa.kernel._eliminate`), which pivots with the LP's Bareiss
+step (:func:`~rotaxa.simplex._eliminate`, Bareiss 1968).  A polytope whose
 vertices are affinely independent (a simplex, which every chain polytope
 and block of the fixtures is) answers membership and segment queries from
 a :class:`~rotaxa.kernel.SimplexKernel`: integer rows, eliminated once per

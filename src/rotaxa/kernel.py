@@ -6,7 +6,8 @@ sign tests on ``y`` and the part of a segment inside the simplex by one
 ratio test, with integer dot products only.
 
 Every rank and span question, and every kernel, goes through one
-fraction-free integer Gauss-Jordan elimination (:func:`_eliminate`, after
+fraction-free integer Gauss-Jordan elimination (:func:`_eliminate`), whose
+every pivot is the LP's Bareiss step (:func:`~rotaxa.simplex._eliminate`,
 Bareiss 1968).  :func:`_simplex_kernel` eliminates a simplex on its
 **support**: the coordinates that some vertex uses, plus the homogeneous
 one.  Each coordinate outside the support is 0 at every vertex, so it is an
@@ -27,6 +28,8 @@ from fractions import Fraction
 from math import gcd
 from operator import mul
 from typing import Sequence
+
+from .simplex import _eliminate as _bareiss
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -142,30 +145,26 @@ def _dot(row: Sequence[int], y: Sequence[int]) -> int:
     return sum(map(mul, row, y))
 
 
-def _eliminate(rows: list[list[int]], cols: int) -> list[int]:
-    """Integer Gauss-Jordan on the first ``cols`` columns of ``rows``, in place.
+def _eliminate(rows: list[Sequence[int]], cols: int) -> list[int]:
+    """Integer Gauss-Jordan on the first ``cols`` columns of ``rows``, in
+    place; tuple rows are replaced by lists first.
 
-    Fraction-free: clearing column ``col`` replaces row ``r`` by
-    ``lead * r - factor * top`` and divides out its gcd (an all-zero row
-    stays zero), so every entry stays an integer and no row changes its row
-    space.  A column with no pivot is skipped.  Returns the pivot columns;
-    the ``i``-th of them has its only non-zero entry in row ``i``.
+    Fraction-free: each pivot is one Bareiss step of the LP's
+    :func:`~rotaxa.simplex._eliminate`, so every entry stays an integer and
+    the row space does not change.  A column with no pivot is skipped.
+    Returns the pivot columns; the ``i``-th of them has its only non-zero
+    entry in row ``i``.
     """
+    rows[:] = map(list, rows)
     pivots: list[int] = []
+    den = 1
     for col in range(cols):
         rank = len(pivots)
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        top = rows[rank]
-        lead = top[col]
-        for r in range(len(rows)):
-            factor = rows[r][col]
-            if r != rank and factor:
-                row = [lead * value - factor * t for value, t in zip(rows[r], top)]
-                g = gcd(*row) or 1
-                rows[r] = [value // g for value in row]
+        den = _bareiss(rows, [row[col] for row in rows], rank, den)
         pivots.append(col)
     return pivots
 

@@ -16,15 +16,19 @@ are reproducible across implementations:
     state' = (6364136223846793005 * state + 1442695040888963407) mod 2^64
 
 and a bounded draw below ``n`` is ``(state' >> 32) mod n``.  The seed is
-read modulo 2^64.  The sampling helpers take the state as a plain integer,
-step it inline and hand it back, so a draw costs no method call;
-:func:`convex_weights` and :func:`random_periodic_word` write it back into
-their :class:`Lcg64`, and the draws are the same either way.
+read modulo 2^64.  A sample draws its convex weights first: each chain
+member but the last takes a draw below ``r + 1`` as its weight over 64,
+out of the ``r`` still left, and the last member takes what is left.  Then
+it draws one closed walk per member, in chain order: a draw for the start
+node among the sorted nodes, then one per step among the successors, until
+a node repeats.  The sampling helpers take the state as a plain integer,
+step it inline and hand it back, so a draw costs no method call.  The
+reference generator, an object form of the same sequence with one method
+call per draw, lives in the tests (``tests/test_oracle.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Sequence
@@ -41,25 +45,6 @@ LCG_MASK = (1 << 64) - 1
 WEIGHT_DENOMINATOR = 64
 
 DEFAULT_STATE_CAP = 2_000_000
-
-
-@dataclass
-class Lcg64:
-    """The documented linear congruential sequence; deterministic per seed."""
-
-    state: int
-
-    def __init__(self, seed: int):
-        self.state = seed & LCG_MASK
-
-    def next_raw(self) -> int:
-        self.state = (LCG_MULTIPLIER * self.state + LCG_INCREMENT) & LCG_MASK
-        return self.state
-
-    def below(self, n: int) -> int:
-        if n <= 0:
-            raise ValueError("bound must be positive")
-        return (self.next_raw() >> 32) % n
 
 
 def oracle_piece_set(piece: BasicPieceModel, max_len: int) -> RationalPolytope:
@@ -114,16 +99,6 @@ def oracle_piece_set(piece: BasicPieceModel, max_len: int) -> RationalPolytope:
     return extreme_points(means)
 
 
-def random_periodic_word(
-    piece: BasicPieceModel, rng: Lcg64
-) -> tuple[str, ...]:
-    """A random closed walk in the piece graph, via first-revisit extraction."""
-    word, rng.state = _closed_walk(
-        sorted(piece.graph.node_ids), piece.graph.successors(), rng.state
-    )
-    return word
-
-
 def _closed_walk(
     nodes: Sequence[str], succ: Mapping[str, Sequence[str]], state: int
 ) -> tuple[tuple[str, ...], int]:
@@ -148,15 +123,10 @@ def _closed_walk(
         raise ValueError(f"node {node!r} has no successor") from None
 
 
-def convex_weights(count: int, rng: Lcg64) -> list[Fraction]:
-    """Random convex weights with denominator dividing WEIGHT_DENOMINATOR."""
-    parts, rng.state = _weight_parts(count, rng.state)
-    return [Fraction(p, WEIGHT_DENOMINATOR) for p in parts]
-
-
 def _weight_parts(count: int, state: int) -> tuple[list[int], int]:
-    """The numerators of :func:`convex_weights` over WEIGHT_DENOMINATOR, and
-    the generator state after their draws."""
+    """Random convex weights with denominator dividing WEIGHT_DENOMINATOR,
+    as their numerators over it, and the generator state after their
+    draws."""
     remaining = WEIGHT_DENOMINATOR
     parts = []
     for _ in range(count - 1):
@@ -185,9 +155,9 @@ def sample_chain_averages(
     average in lowest terms, which is what :func:`~rotaxa.exactgeom.homogeneous`
     gives for the rational vector; membership tests read it as it is.  The
     walk tables of each member are built once per call, and each distinct
-    word of a member is checked and summed once per call.  The draws and
-    values are those of :func:`convex_weights`, :func:`random_periodic_word`
-    and :func:`~rotaxa.markov.word_rotation_vector`.
+    word of a member is checked and summed once per call.  The values are
+    those of :func:`~rotaxa.markov.word_rotation_vector` on the words drawn,
+    in the draw order of the module docstring.
     """
     if samples < 1:
         raise ValueError("samples must be positive")

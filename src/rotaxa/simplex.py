@@ -442,8 +442,10 @@ def _dual(lp: _Lp) -> list[int] | None:
         if not negative:
             return None
         leave = min(negative, key=basis.__getitem__)
-        top = rows[leave]
+        top, basic = rows[leave], set(basis)
         for enter, (a, _, _) in enumerate(columns):
+            if enter in basic:
+                continue  # its entry is D or 0 in every row
             if sum(map(mul, top, a)) < 0:
                 break
         else:

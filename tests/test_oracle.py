@@ -29,13 +29,7 @@ from rotaxa.markov import (
     piece_rotation_set,
     word_rotation_vector,
 )
-from rotaxa.oracle import (
-    Lcg64,
-    convex_weights,
-    oracle_piece_set,
-    random_periodic_word,
-    sample_chain_averages,
-)
+from rotaxa.oracle import oracle_piece_set, sample_chain_averages
 from test_markov import KWAPISZ_EDGES, KWAPISZ_NODES, random_scc_piece
 
 
@@ -90,6 +84,48 @@ class TestOraclePieceSet:
             oracle_piece_set(piece, 6)
 
 
+class Lcg64:
+    """The reference generator: the documented linear congruential
+    sequence, as an object that draws one value at a time."""
+
+    def __init__(self, seed):
+        self.state = seed % 2**64
+
+    def next_raw(self):
+        self.state = (6364136223846793005 * self.state + 1442695040888963407) % 2**64
+        return self.state
+
+    def below(self, n):
+        return (self.next_raw() >> 32) % n
+
+
+def random_periodic_word(piece, rng):
+    """A random closed walk in the piece graph: a random start among the
+    sorted nodes, random successors until a node repeats, and the loop from
+    that node's first visit."""
+    nodes, succ = sorted(piece.graph.node_ids), piece.graph.successors()
+    walk = [nodes[rng.below(len(nodes))]]
+    while True:
+        options = succ[walk[-1]]
+        if not options:
+            raise ValueError(f"node {walk[-1]!r} has no successor")
+        node = options[rng.below(len(options))]
+        if node in walk:
+            return tuple(walk[walk.index(node):])
+        walk.append(node)
+
+
+def convex_weights(count, rng):
+    """Random convex weights over 64: each but the last a draw below one
+    more than the weight still left, the last what is left."""
+    remaining, weights = 64, []
+    for _ in range(count - 1):
+        cut = rng.below(remaining + 1)
+        weights.append(Fraction(cut, 64))
+        remaining -= cut
+    return weights + [Fraction(remaining, 64)]
+
+
 class TestLcg:
     def test_documented_sequence(self):
         rng = Lcg64(1)
@@ -104,7 +140,7 @@ class TestLcg:
 
 def reference_samples(chain, table, count, seed):
     """The samples word by word, as Fraction vectors: the same LCG draws
-    through the public helpers, the word means summed as Fractions."""
+    through the reference generator, the word means summed as Fractions."""
     rng = Lcg64(seed)
     dim = len(table[chain[0]].graph.nodes[0][1])
     out = []
@@ -285,14 +321,14 @@ class TestSampling:
 
 
 class TestChainSamplingCheck:
-    @pytest.mark.parametrize("block_kind", ["simplex", "cube"])
-    def test_each_sample_is_converted_once(self, monkeypatch, block_kind):
+    @pytest.mark.parametrize("polytope_kind", ["simplex", "cube"])
+    def test_each_sample_is_converted_once(self, monkeypatch, polytope_kind):
         computation = compute(genus2_full())
-        (block,) = computation.blocks
-        if block_kind == "cube":
-            # A 16-vertex block around the chain set: the LP path.
+        (data,) = computation.chains
+        if polytope_kind == "cube":
+            # A 16-vertex polytope around the chain set: the LP path.
             cube = extreme_points(product((-1, 2), repeat=4))
-            computation = replace(computation, blocks=(replace(block, polytope=cube),))
+            computation = replace(computation, chains=(replace(data, polytope=cube),))
         converted = []
         integer_rows = simplex.integer_rows
 
@@ -309,15 +345,9 @@ class TestChainSamplingCheck:
         assert len(converted) == 0
 
     def test_each_sample_is_tested_once_per_distinct_polytope(self, monkeypatch):
-        # Every block of exp_family(3) is its one chain's own polytope, so
-        # each sample takes one membership test.
+        # Each sample takes one membership test, against its chain's
+        # polytope: every block that pools the chain is a hull that holds it.
         computation = compute(exp_family(3))
-        assert all(
-            block.polytope is data.polytope
-            for block in computation.blocks
-            for data in computation.chains
-            if data.chain in block.chains
-        )
         tested = []
 
         def counted(polytope, point):
@@ -329,25 +359,15 @@ class TestChainSamplingCheck:
         assert outcome.passed and outcome.info["samples"] == 1000
         assert len(tested) == 1000
 
-    @pytest.mark.parametrize("shrunk", ["chain", "block"])
-    def test_failure_messages(self, shrunk):
+    def test_failure_messages(self):
         computation = compute(genus2_full())
         origin = extreme_points([zero_vector(4)])
-        (chain,), (block,) = computation.chains, computation.blocks
-        if shrunk == "chain":
-            computation = replace(
-                computation, chains=(replace(chain, polytope=origin),)
-            )
-            where = "chain H1<H2"
-        else:
-            computation = replace(
-                computation, blocks=(replace(block, polytope=origin),)
-            )
-            where = "block T1+T2|0|0"
+        (chain,) = computation.chains
+        computation = replace(computation, chains=(replace(chain, polytope=origin),))
         (outcome,) = run_checks(computation, oracle_samples=3, seed=7)
         assert not outcome.passed
         assert outcome.details == (
-            f"sample ('7/12', '7/24', '1/8', '1/8') outside {where}",
-            f"sample ('0', '0', '61/64', '61/64') outside {where}",
-            f"sample ('9/64', '0', '55/64', '0') outside {where}",
+            "sample ('7/12', '7/24', '1/8', '1/8') outside chain H1<H2",
+            "sample ('0', '0', '61/64', '61/64') outside chain H1<H2",
+            "sample ('9/64', '0', '55/64', '0') outside chain H1<H2",
         )

@@ -446,6 +446,12 @@ class TestCli:
         assert check["name"] == "chain_sampling"
         assert check["info"]["samples"] == 64
 
+    def test_oracle_samples_give_every_chain_one(self, capsys):
+        # exp_family(3) has 8 chains: 3 samples asked for draw 8.
+        assert main(["check", "exp_family(3)", "--oracle-samples", "3"]) == 0
+        [check] = json.loads(capsys.readouterr().out)["report"]["checks"]
+        assert check["info"] == {"samples": 8, "violations": 0}
+
     @pytest.mark.parametrize(
         "flag, value",
         [

@@ -641,7 +641,9 @@ MIXED_LENGTH_EDGES = [
 @pytest.fixture
 def mixed_length_hull(monkeypatch):
     """Build the piece's hull; report its LPs, pivots, conversions through
-    ``integer_rows`` and the bit length of every pivot-row entry."""
+    ``integer_rows`` and the bit length of every pivot-row entry.  A solver
+    that takes ten times the pinned pivots fails here, before the recorded
+    bit lengths can grow without bound."""
     piece = BasicPieceModel(
         id="P",
         classification="curved",
@@ -664,6 +666,8 @@ def mixed_length_hull(monkeypatch):
         entries = lp.rows[row]
         full = [sum(map(mul, entries, a)) for a, _, _ in lp.columns] + entries
         counts["pivots"] += 1
+        if counts["pivots"] > 2420:
+            pytest.fail("more than 2,420 pivots: ten times the pinned 242")
         counts["row_bits"].extend(abs(a).bit_length() for a in full)
         return pivot(lp, row, col, column)
 
