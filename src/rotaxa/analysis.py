@@ -148,10 +148,10 @@ def star_shape_check(
     for ints in sorted(source):
         index = source[ints]
         family = [members[index], *members[:index], *members[index + 1 :]]
-        gap = segment_uncovered_gap(origin, HomogeneousPoint((*ints, den)), family)
+        y = HomogeneousPoint((*ints, den))
+        gap = segment_uncovered_gap(origin, y, family)
         if gap is not None:
-            point = tuple(Fraction(c, den) for c in ints)
-            return False, CoverageWitness(point=point, gap=gap)
+            return False, CoverageWitness(point=y.vector, gap=gap)
     return True, None
 
 
@@ -250,7 +250,7 @@ def convexity_probe(
     hull = hull_of_union(union)
     for y in probe_points(hull, density):
         if not any(contains_point(member, y) for member in union):
-            return False, tuple(Fraction(a, y[-1]) for a in y[:-1])
+            return False, y.vector
     return True, None
 
 
@@ -271,13 +271,10 @@ def interior_check(blocks: Sequence["Block"], genus: int) -> InteriorReport:
         for other in blocks:
             if other is candidate:
                 continue
-            den, rows = other.polytope.integer_vertices
-            for row in rows:
-                y = HomogeneousPoint((*row, den))
+            for y in other.polytope.columns:
                 if not contains_point(candidate.polytope, y):
-                    vertex = tuple(str(Fraction(c, den)) for c in row)
                     stray = (
-                        f"vertex {vertex} of block "
+                        f"vertex {tuple(map(str, y.vector))} of block "
                         f"{other.key.label()} outside {candidate.key.label()}"
                     )
                     break

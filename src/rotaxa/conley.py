@@ -19,14 +19,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import ModelValidationError
-from .exactgeom import (
-    HomogeneousPoint,
-    RationalPolytope,
-    SubspaceBasis,
-    extreme_points,
-    hull_of_union,
-    origin_column,
-)
+from .exactgeom import RationalPolytope, SubspaceBasis, extreme_points, origin_column
 from .heteroclinic import Chain, HeteroclinicPoset
 from .markov import ANNULAR, ATTRACTING, CURVED, REPELLING, TRIVIAL
 
@@ -250,47 +243,46 @@ def chain_marked_support(
     ]
 
 
-def coned(polytope: RationalPolytope) -> RationalPolytope:
-    """Hull of the polytope together with the origin; the polytope itself
-    when it holds the origin, which it decides once.  The polytope's
-    ``integer_vertices`` go to the hull as they are, and its
+def coned(*polytopes: RationalPolytope) -> RationalPolytope:
+    """Hull of the polytopes together with the origin.
+
+    The members' ``columns`` go to the hull as they are, and their
     ``vertex_functionals`` go along, so each vertex that its functional
-    still exposes with the origin added is decided with no LP."""
-    if polytope.holds_origin:
-        return polytope
-    den, rows = polytope.integer_vertices
-    origin = origin_column(polytope.dim)
+    still exposes with the origin added is decided with no LP.  A lone
+    polytope decides once whether it holds the origin: if so, it is its
+    own cone, that same instance; if not, its ``origin_separation`` goes
+    along as the origin's functional, so the origin takes no LP either.
+    A pooled group decides the origin in the hull.
+    """
+    origin_functional = None
+    if len(polytopes) == 1:
+        (polytope,) = polytopes
+        if polytope.holds_origin:
+            return polytope
+        origin_functional = polytope.origin_separation
+    columns = [y for member in polytopes for y in member.columns]
+    functionals = [c for member in polytopes for c in member.vertex_functionals]
     return extreme_points(
-        [*(HomogeneousPoint((*row, den)) for row in rows), origin],
-        [*polytope.vertex_functionals, polytope.origin_separation],
+        [*columns, origin_column(polytopes[0].dim)], [*functionals, origin_functional]
     )
 
 
 def enumerate_blocks(chains: Sequence[ChainData]) -> list[Block]:
-    """Group chains by marked support and cone each group to the origin.
-
-    A group of one chain is its chain's polytope coned, which is that same
-    polytope instance when it holds the origin."""
+    """Group chains by marked support and cone each group to the origin
+    (:func:`coned`), so a group of one chain whose polytope holds the
+    origin has that same polytope instance as its block."""
     groups: dict[MarkedSupport, list[ChainData]] = {}
     for data in chains:
         for key in data.marked_supports:
             groups.setdefault(key, []).append(data)
-    blocks = []
-    for key in sorted(groups, key=MarkedSupport.sort_key):
-        members = groups[key]
-        polytopes = [data.polytope for data in members]
-        if len(polytopes) == 1:
-            polytope = coned(polytopes[0])
-        else:
-            polytope = hull_of_union(polytopes, [origin_column(polytopes[0].dim)])
-        blocks.append(
-            Block(
-                key=key,
-                polytope=polytope,
-                chains=tuple(data.chain for data in members),
-            )
+    return [
+        Block(
+            key=key,
+            polytope=coned(*(data.polytope for data in groups[key])),
+            chains=tuple(data.chain for data in groups[key]),
         )
-    return blocks
+        for key in sorted(groups, key=MarkedSupport.sort_key)
+    ]
 
 
 def support_span(key: MarkedSupport, model: "ModelDocument") -> SubspaceBasis:

@@ -14,7 +14,6 @@ render; :func:`run_checks` calls only the checks requested.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 from . import analysis
@@ -30,7 +29,6 @@ from .conley import (
 )
 from .errors import ModelValidationError, ResourceCapError
 from .exactgeom import (
-    HomogeneousPoint,
     RationalPolytope,
     SubspaceBasis,
     contains_point,
@@ -234,13 +232,11 @@ def _chain_in_block(computation: Computation) -> CheckOutcome:
             polytope = polytopes[chain]
             if polytope == block.polytope:
                 continue
-            den, rows = polytope.integer_vertices
-            for row in rows:
-                y = HomogeneousPoint((*row, den))
+            for y in polytope.columns:
                 if not contains_point(block.polytope, y):
                     issues.append(
                         f"chain {'<'.join(chain)}: vertex "
-                        f"{_point_text(y)} outside block {block.key.label()}"
+                        f"{tuple(map(str, y.vector))} outside block {block.key.label()}"
                     )
     return CheckOutcome("chain_in_block", not issues, tuple(issues))
 
@@ -321,7 +317,7 @@ def _chain_sampling(
             tested += 1
             if not contains_point(data.polytope, point):
                 failures.append(
-                    f"sample {_point_text(point)} outside chain "
+                    f"sample {tuple(map(str, point.vector))} outside chain "
                     f"{'<'.join(data.chain)}"
                 )
     return CheckOutcome(
@@ -330,12 +326,6 @@ def _chain_sampling(
         tuple(failures[:10]),
         {"samples": tested, "violations": len(failures)},
     )
-
-
-def _point_text(point: HomogeneousPoint) -> tuple[str, ...]:
-    """The rational coordinates of a homogeneous column, as strings."""
-    *nums, den = point
-    return tuple(str(Fraction(n, den)) for n in nums)
 
 
 def outcomes_passed(outcomes: Sequence[CheckOutcome]) -> bool:

@@ -5,11 +5,15 @@ vertex the engine builds is a cycle mean or a hull vertex of such means.
 So a polytope is stored as ``integer_vertices``: integer rows over the
 vertices' least common denominator, sorted and irredundant, so structural
 equality is geometric equality.  Every decision is exact.  ``Fraction``
-vectors meet this form at two edges only: model input, converted once per
+vectors meet this form at the edges only: model input, converted once per
 vector (:func:`~rotaxa.simplex.integer_rows`), and a polytope's
 ``vertices``, built on first read, which a failed check's report reads (the
 JSON and CSV output format the integer rows directly).  In between, a point
-is its homogeneous integer column ``[x·den; den]`` (:class:`HomogeneousPoint`).
+is its homogeneous integer column ``[x·den; den]`` (:class:`HomogeneousPoint`),
+and that point form is crossed in two places only:
+:attr:`RationalPolytope.columns`, a polytope's vertices as columns, and
+:attr:`HomogeneousPoint.vector`, a column as a ``Fraction`` vector, which
+only failure messages read.
 
 Every exact rank, span and affine-independence question goes through one
 fraction-free integer Gauss-Jordan elimination
@@ -100,6 +104,13 @@ class RationalPolytope:
         fractions = {a: Fraction(a, den) for a in set(chain.from_iterable(rows))}
         return tuple(tuple(map(fractions.__getitem__, row)) for row in rows)
 
+    @property
+    def columns(self) -> list[HomogeneousPoint]:
+        """The vertices as homogeneous columns ``[row; den]``, built on each
+        read and not kept, so a polytope holds one copy of its vertices."""
+        den, rows = self.integer_vertices
+        return [HomogeneousPoint((*row, den)) for row in rows]
+
     @cached_property
     def simplex_kernel(self) -> SimplexKernel | None:
         """The polytope's :class:`SimplexKernel`, eliminated on first use and
@@ -134,14 +145,15 @@ class RationalPolytope:
         """``None`` when the origin lies in the polytope; otherwise an
         integer functional ``c`` with ``c . v < 0`` at every vertex ``v``,
         which the origin alone maximizes over the polytope and the origin.
-        One LP's separating functional, or one kernel sign test on a
-        simplex, decided on first use and kept on this instance."""
+        Decided on first use and kept on this instance: a simplex holds the
+        origin by its kernel's sign tests, with no LP; otherwise one
+        membership LP decides, and its separating functional is the
+        certificate."""
         origin = origin_column(self.dim)
         kernel = self.simplex_kernel
-        if kernel is None:
-            separation = hull_membership(_columns(self), origin).separation
-        else:
-            separation = kernel.separation(origin)
+        if kernel is not None and kernel.contains(origin):
+            return None
+        separation = hull_membership(self.columns, origin).separation
         return None if separation is None else separation[0]
 
 
@@ -150,9 +162,17 @@ class HomogeneousPoint(tuple):
     ``[x·den; den]``, ``den > 0``: the form every exact membership test
     reads, and a form :func:`extreme_points` takes.  Build it with
     :func:`homogeneous`, or from a column already held in integers, as
-    oracle samples, cycle sums and a polytope's ``integer_vertices`` are."""
+    oracle samples and cycle sums are; a polytope's vertices are its
+    :attr:`~RationalPolytope.columns`."""
 
     __slots__ = ()
+
+    @property
+    def vector(self) -> Vector:
+        """The point ``x`` as a ``Fraction`` vector, each coordinate in
+        lowest terms."""
+        *nums, den = self
+        return tuple(Fraction(a, den) for a in nums)
 
 
 def homogeneous(x: Vector | HomogeneousPoint) -> HomogeneousPoint:
@@ -167,12 +187,6 @@ def homogeneous(x: Vector | HomogeneousPoint) -> HomogeneousPoint:
 def origin_column(dim: int) -> HomogeneousPoint:
     """The origin of Q^dim as its homogeneous column ``[0…0; 1]``."""
     return HomogeneousPoint((0,) * dim + (1,))
-
-
-def _columns(polytope: RationalPolytope) -> list[tuple[int, ...]]:
-    """The homogeneous integer columns of the polytope's vertices."""
-    den, rows = polytope.integer_vertices
-    return [(*row, den) for row in rows]
 
 
 @dataclass(frozen=True)
@@ -259,7 +273,7 @@ def contains_point(polytope: RationalPolytope, x: Vector | HomogeneousPoint) -> 
         )
     kernel = polytope.simplex_kernel
     if kernel is None:
-        return hull_membership(_columns(polytope), y)[0]
+        return hull_membership(polytope.columns, y)[0]
     return kernel.contains(y)
 
 
@@ -285,9 +299,9 @@ def extreme_points(
     The points are rational vectors, converted together by one
     :func:`~rotaxa.simplex.integer_rows`, or all :class:`HomogeneousPoint`
     columns, which are brought over one denominator with no conversion
-    (:func:`~rotaxa.simplex.homogeneous_rows`): a polytope's
-    ``integer_vertices`` or a cycle's integer sum give them.  The hull's
-    ``integer_vertices`` are over their least denominator.
+    (:func:`~rotaxa.simplex.homogeneous_rows`): a polytope's ``columns``
+    or a cycle's integer sum give them.  The hull's ``integer_vertices``
+    are over their least denominator.
 
     Distinct points that are affinely independent (at most ``dim + 1`` of
     them, every column pivoting in :func:`_simplex_kernel`) are each a
@@ -441,29 +455,22 @@ def _polytope(dim: int, den: int, rows: Sequence[tuple[int, ...]], **cached):
     return polytope
 
 
-def hull_of_union(
-    polytopes: Sequence[RationalPolytope],
-    points: Iterable[Vector | HomogeneousPoint] = (),
-) -> RationalPolytope:
-    """Hull of the polytopes' vertices together with ``points``.
+def hull_of_union(polytopes: Sequence[RationalPolytope]) -> RationalPolytope:
+    """Hull of the polytopes' vertices.
 
-    One polytope with no extra points is its own hull: that same instance
-    is returned, so no hull is built and its cached ``simplex_kernel`` is
-    reused.  Otherwise the members' ``integer_vertices`` go to
-    :func:`extreme_points` as homogeneous columns, so no member vertex is
-    converted again.  They are brought over one denominator first, so that
-    a point two members share is one column, and the hull's count of
-    distinct input points is the count of distinct points.  The members'
-    ``vertex_functionals`` go along, so a member vertex that its functional
-    still exposes among all the points is decided with no LP.
+    One polytope is its own hull: that same instance is returned, so no
+    hull is built and its cached ``simplex_kernel`` is reused.  Otherwise
+    the members' ``columns`` go to :func:`extreme_points` as they are, each
+    over its member's denominator, so no member vertex is converted again;
+    :func:`extreme_points` brings them over one denominator, where a point
+    two members share is one row.  The members' ``vertex_functionals`` go
+    along, so a member vertex that its functional still exposes among all
+    the points is decided with no LP.
     """
-    points = list(points)
-    if len(polytopes) == 1 and not points:
+    if len(polytopes) == 1:
         return polytopes[0]
-    columns = [y for member in polytopes for y in _columns(member)]
-    den, rows = homogeneous_rows(columns + [homogeneous(p) for p in points])
     return extreme_points(
-        [HomogeneousPoint((*row, den)) for row in rows],
+        [y for member in polytopes for y in member.columns],
         [c for member in polytopes for c in member.vertex_functionals],
     )
 
@@ -512,14 +519,13 @@ def vertex_outside_span(
             f"basis of length {len(subspace.basis[0])} against dimension {polytope.dim}"
         )
     basis = subspace.integer_basis
-    rows = polytope.integer_vertices[1]
     base_rank = subspace.rank
-    if integer_rank([*basis, *rows]) == base_rank:
+    if integer_rank([*basis, *polytope.integer_vertices[1]]) == base_rank:
         return None
     return next(
-        v
-        for v, row in zip(polytope.vertices, rows)
-        if integer_rank([*basis, row]) != base_rank
+        y.vector
+        for y in polytope.columns
+        if integer_rank([*basis, y[:-1]]) != base_rank
     )
 
 

@@ -126,7 +126,8 @@ def find_relation_cycle(poset: HeteroclinicPoset) -> list[str] | None:
 
 
 def is_connected(poset: HeteroclinicPoset) -> bool:
-    """Connectivity of the undirected relation graph over all pieces."""
+    """Connectivity of the undirected relation graph over all pieces, a
+    duplicated piece id counted once."""
     if not poset.pieces:
         return True
     neighbors: dict[str, set[str]] = {p: set() for p in poset.pieces}
@@ -142,7 +143,7 @@ def is_connected(poset: HeteroclinicPoset) -> bool:
             if v not in seen:
                 seen.add(v)
                 frontier.append(v)
-    return len(seen) == len(poset.pieces)
+    return len(seen) == len(neighbors)
 
 
 def validate_poset(

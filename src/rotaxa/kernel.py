@@ -3,7 +3,11 @@
 A point ``x`` is read as its homogeneous integer column ``y = [x·den; den]``
 over a positive ``den``.  A :class:`SimplexKernel` decides membership by
 sign tests on ``y`` and the part of a segment inside the simplex by one
-ratio test, with integer dot products only.
+ratio test, with integer dot products only.  It gives no separating
+functional: a point outside is certified by a membership LP
+(:func:`~rotaxa.exactgeom.hull_membership`), which a polytope asks for
+only when the kernel finds the origin outside
+(:attr:`~rotaxa.exactgeom.RationalPolytope.origin_separation`).
 
 Every rank and span question, and every kernel, goes through one
 fraction-free integer Gauss-Jordan elimination (:func:`_eliminate`), whose
@@ -16,9 +20,10 @@ A chain polytope or block of ``exp_family(k)`` has ``k + 1`` vertices that
 use ``k`` of ``4k`` coordinates, so its elimination has ``k + 1`` rows, not
 ``4k + 1``.  The rows then act on ``y`` projected onto the support, and are
 widened to all coordinates only where a caller needs a functional in the
-ambient space.  A kernel whose support is every coordinate reads ``y`` as
-it is, with no projection: so does every witness kernel read from an LP
-basis, whose rows already span the ambient space.
+ambient space (a simplex's ``vertex_functionals``).  A kernel whose
+support is every coordinate reads ``y`` as it is, with no projection: so
+does every witness kernel read from an LP basis, whose rows already span
+the ambient space.
 """
 
 from __future__ import annotations
@@ -107,28 +112,6 @@ class SimplexKernel:
             elif at < 0:
                 return None
         return (low, high) if low <= high else None
-
-    def separation(self, y: Sequence[int]) -> tuple[tuple[int, ...], int] | None:
-        """``None`` when the point whose column is ``y`` lies in the simplex;
-        otherwise ``(c, c0)``, integers, with ``c . v <= c0`` at every vertex
-        ``v`` and ``c . x > c0``, as :func:`~rotaxa.exactgeom.hull_membership`
-        gives it: from the first row ``r = (c, -c0)``, up to sign, with
-        ``r . y > 0`` and ``r <= 0`` at every vertex ``[v; 1]``."""
-        for j in self.outside:
-            if y[j]:
-                c = [0] * (len(self.support) + len(self.outside) - 1)
-                c[j] = 1 if y[j] > 0 else -1
-                return tuple(c), 0
-        z = self._project(y)
-        for row in self.affine:
-            at = _dot(row, z)
-            if at:
-                row = row if at > 0 else [-a for a in row]
-                return self.ambient(row), -row[-1]
-        for row in self.barycentric:
-            if _dot(row, z) < 0:
-                return self.ambient([-a for a in row]), row[-1]
-        return None
 
     def ambient(self, row: Sequence[int]) -> tuple[int, ...]:
         """The functional that ``row`` reads on ``x``, in all coordinates:

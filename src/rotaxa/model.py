@@ -23,7 +23,7 @@ from .conley import (
     chain_support,
     validate_decomposition,
 )
-from .exactgeom import HomogeneousPoint, RationalPolytope, contains_point, integer_rank
+from .exactgeom import RationalPolytope, contains_point, integer_rank
 from .heteroclinic import Chain, HeteroclinicPoset, validate_poset
 from .markov import TRIVIAL, BasicPieceModel, validate_piece
 
@@ -124,15 +124,14 @@ def validate_rotation_data(
     for index, piece in enumerate(model.pieces):
         if piece.classification != TRIVIAL:
             continue
-        den, rows = piece_sets[piece.id].integer_vertices
-        point = HomogeneousPoint((*rows[0], den))
-        if len(rows) != 1:
+        columns = piece_sets[piece.id].columns
+        if len(columns) != 1:
             violations.append(
                 f"/pieces/{index} ({piece.id}): trivial piece with "
                 "non-singleton rotation set"
             )
         elif chain_sets and not any(
-            contains_point(cs, point) for cs in chain_sets.values()
+            contains_point(cs, columns[0]) for cs in chain_sets.values()
         ):
             warnings.append(
                 f"trivial piece {piece.id!r} rotates outside every chain set"

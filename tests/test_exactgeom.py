@@ -314,35 +314,41 @@ def cone_cases(draw):
     return [vector_sub(p, shift) for p in points]
 
 
+def member_groups(points, data):
+    """The points split into one to three groups, as drawn."""
+    groups = data.draw(
+        st.lists(st.integers(0, 2), min_size=len(points), max_size=len(points))
+    )
+    return [[p for p, g in zip(points, groups) if g == k] for k in sorted(set(groups))]
+
+
 class TestVertexFunctionals:
     @settings(max_examples=150)
-    @given(cone_cases())
-    def test_coned_agrees_with_a_hull_from_scratch(self, points):
-        polytope = extreme_points(points)
-        assert_functionals_expose(polytope, points)
+    @given(cone_cases(), st.data())
+    def test_coned_agrees_with_a_hull_from_scratch(self, points, data):
+        groups = member_groups(points, data)
+        members = [extreme_points(group) for group in groups]
         origin = (Fraction(0),) * len(points[0])
-        cone = coned(polytope)
+        for member, group in zip(members, groups):
+            assert_functionals_expose(member, group)
+            if not member.holds_origin:
+                # The origin alone maximizes its separating functional.
+                assert exposes(member.origin_separation, origin, [*group, origin])
+        cone = coned(*members)
         assert cone.vertices == brute_vertices([*points, origin])
-        assert cone == extreme_points([*polytope.vertices, origin])
+        assert cone == extreme_points([*points, origin])
         assert_functionals_expose(cone, [*points, origin])
-        if polytope.holds_origin:
-            assert cone is polytope
-        else:
-            # The origin alone maximizes its separating functional.
-            assert exposes(polytope.origin_separation, origin, [*points, origin])
+        if len(members) == 1 and members[0].holds_origin:
+            assert cone is members[0]
 
     @settings(max_examples=150)
     @given(cone_cases(), st.data())
     def test_hull_of_union_agrees_with_a_hull_from_scratch(self, points, data):
-        groups = data.draw(
-            st.lists(st.integers(0, 2), min_size=len(points), max_size=len(points))
-        )
-        members = [
-            extreme_points([p for p, g in zip(points, groups) if g == k])
-            for k in sorted(set(groups))
-        ]
+        members = [extreme_points(group) for group in member_groups(points, data)]
         extra = data.draw(st.lists(st.sampled_from([*points, _average(points)]), max_size=3))
-        union = hull_of_union(members, extra)
+        if extra:
+            members.append(extreme_points(extra))
+        union = hull_of_union(members)
         assert union.vertices == brute_vertices([*points, *extra])
         assert union == extreme_points([*points, *extra])
         assert_functionals_expose(union, [*points, *extra])
@@ -376,7 +382,7 @@ class TestVertexFunctionals:
             return membership(columns, y, *start)
 
         monkeypatch.setattr(exactgeom, "hull_membership", counted)
-        hull = hull_of_union([polygon], [V(0, 0)])
+        hull = hull_of_union([polygon, extreme_points([V(0, 0)])])
         assert hull == polygon and hull is not polygon
         assert (0, 0, 1) in lps
         assert not set(lps) & set(certified)
@@ -425,6 +431,18 @@ class TestIntegerHullInput:
         assert vars(hull)["integer_vertices"] == vars(reference)["integer_vertices"]
         assert hull.vertex_functionals == reference.vertex_functionals
 
+    @settings(max_examples=150)
+    @given(cone_cases())
+    def test_columns_and_vectors_round_trip(self, points):
+        polytope = extreme_points(points)
+        columns = polytope.columns
+        assert all(isinstance(y, HomogeneousPoint) for y in columns)
+        assert extreme_points(columns) == polytope
+        assert [y.vector for y in columns] == list(polytope.vertices)
+        for x in points:
+            y = homogeneous(x)
+            assert y.vector == x and homogeneous(y.vector) == y
+
     def test_piece_and_chain_hulls_convert_no_point(self, monkeypatch):
         # Piece hulls read their cycles' integer sums and chain hulls their
         # members' integer vertices: the only conversion under either is
@@ -445,9 +463,9 @@ class TestIntegerHullInput:
         pooled = []
         union = exactgeom.hull_of_union
 
-        def counted(polytopes, points=()):
+        def counted(polytopes):
             pooled.append(len(polytopes))
-            return union(polytopes, points)
+            return union(polytopes)
 
         monkeypatch.setattr(heteroclinic, "hull_of_union", counted)
         computation = compute(exp_family(4))
@@ -787,14 +805,6 @@ class TestSupportKernels:
             assert sparse.support == (*sorted(used), len(rows[0]))
         for y in queries:
             assert sparse.contains(y) == dense.contains(y)
-            verdicts = [k.separation(y) for k in (sparse, dense)]
-            assert (verdicts[0] is None) == (verdicts[1] is None)
-            if verdicts[0] is not None:
-                # A separation in ambient coordinates: c . v <= c0 at every
-                # vertex, c . x > c0 at the point.
-                c, c0 = verdicts[0]
-                assert all(_dot_q(c, v) <= c0 for v in verts)
-                assert sum(a * b for a, b in zip(c, y)) > c0 * y[-1]
         for a in queries:
             for b in queries:
                 assert sparse.segment_interval(a, b) == dense.segment_interval(a, b)
@@ -825,7 +835,6 @@ class TestSupportKernels:
         for y in queries:
             member = hull_membership(columns, y).member
             assert sparse.contains(y) == member
-            assert (sparse.separation(y) is None) == member
             if any(y[j] for j in sparse.outside):
                 kinds.add("outside the support")
             elif any(_dot_q(row, sparse._project(y)) for row in sparse.affine):

@@ -427,6 +427,23 @@ class TestCli:
         capsys.readouterr()
         assert main(["compute", str(path)]) == 2
 
+    def test_duplicate_piece_id_leaves_the_relation_connected(self, tmp_path, capsys):
+        # The duplicate is reported where it is, and the relation graph is
+        # connected over the distinct piece ids.
+        doc = model_to_dict(genus2_full())
+        doc["pieces"].append(doc["pieces"][0])
+        path = tmp_path / "duplicate.json"
+        path.write_text(dumps_canonical(doc), encoding="utf-8")
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert payload["violations"] == [
+            "/pieces/2 (H1): duplicate piece id",
+            "/heteroclinic: duplicate piece ids in the relation",
+        ]
+        assert payload["warnings"] == []
+        assert "not connected" not in captured.err
+
     def test_zero_denominator_exit_code(self, tmp_path, capsys):
         doc = model_to_dict(genus2_full())
         doc["pieces"][0]["graph"]["nodes"][0]["displacement"][1] = "1/0"

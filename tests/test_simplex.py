@@ -307,7 +307,7 @@ def test_hull_lps_build_no_solution_fractions(monkeypatch):
     hull = extreme_points(PINNED_POINTS)
     assert len(hull.vertices) == 8
     centre = exactgeom.homogeneous((F(0), F(0), F(0)))
-    member = exactgeom.hull_membership(exactgeom._columns(hull), centre)
+    member = exactgeom.hull_membership(hull.columns, centre)
     assert member.member and built == []
     weights = member.lp.solution
     assert len(weights) == 8 and built

@@ -1,4 +1,5 @@
-"""Each module of the package stays below the compile-memory cliff.
+"""Each module of the package stays below the compile-memory cliff, and
+imports nothing but the standard library and the package itself.
 
 CPython keeps the tokens of the module it parses in an array that doubles
 when full, so the memory that compiling a module takes steps up once it
@@ -11,7 +12,9 @@ in its peak memory.
 
 from __future__ import annotations
 
+import ast
 import io
+import sys
 import tokenize
 from pathlib import Path
 
@@ -39,3 +42,22 @@ def test_every_module_is_below_the_cliff():
     assert "exactgeom.py" in counts
     over = {name: count for name, count in counts.items() if count > PARSER_TOKEN_LIMIT}
     assert not over, f"modules over {PARSER_TOKEN_LIMIT} parser tokens: {over}"
+
+
+def test_the_core_imports_the_standard_library_only():
+    # Every absolute import names the package or a standard-library module;
+    # relative imports stay inside the package.
+    foreign = []
+    for path in sorted(SOURCE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                if top != "rotaxa" and top not in sys.stdlib_module_names:
+                    foreign.append(f"{path.name}: {name}")
+    assert not foreign, f"imports outside the standard library: {foreign}"
